@@ -16,6 +16,14 @@ The averaged output uses the mirrored weights from *before* each update:
 step ``i`` contributes ``theta_bar_{i-1}``.  Getting this off by one
 changes nothing per-step but silently degrades the aggregation rate, so
 the hand-traced tests pin it.
+
+Each recursion runs in one batch kernel over an ``(R, n)`` array of atom
+indices, one replicate per row: ``ma_weights`` on the atom design values
+and labels, ``lma_weights`` and ``erm_totals`` on the per-atom loss table
+``loss_values(kind, ys[:, None], design)``.  The public runs call them
+with a one-replicate table built from their sample and validate what the
+kernels take on trust; ``ma_step`` is the validated per-sample step the
+kernels are tested against.
 """
 
 from __future__ import annotations
@@ -26,8 +34,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LabeledSample, LossSpec, linearized_loss_vector, loss_gradient_theta
-from .simplex import Dictionary, gibbs_map, mixture_value, renormalize, uniform_weights
+from .losses import (
+    LabeledSample,
+    LossSpec,
+    check_labels,
+    grad_coef,
+    linearized_loss_vector,
+    loss_gradient_theta,
+)
+from .simplex import Dictionary, gibbs_map, mixture_value, renormalize, softmin, uniform_weights
 
 __all__ = [
     "Schedule",
@@ -39,6 +54,9 @@ __all__ = [
     "lma_run",
     "erm_select",
     "averaged_weights",
+    "ma_weights",
+    "lma_weights",
+    "erm_totals",
 ]
 
 
@@ -51,14 +69,13 @@ class Schedule:
 
     beta_at: Callable[[int], float]
     gamma_at: Callable[[int], float]
-    descriptor: str = "custom"
 
     @staticmethod
     def constant(beta: float, gamma: float = 1.0) -> "Schedule":
         """Constant temperature and step size."""
         _require_positive("beta", beta)
         _require_positive("gamma", gamma)
-        return Schedule(lambda i: beta, lambda i: gamma, f"constant(beta={beta:g}, gamma={gamma:g})")
+        return Schedule(lambda i: beta, lambda i: gamma)
 
     @staticmethod
     def sqrt_growth(beta0: float, gamma: float = 1.0) -> "Schedule":
@@ -70,11 +87,16 @@ class Schedule:
         """
         _require_positive("beta0", beta0)
         _require_positive("gamma", gamma)
-        return Schedule(
-            lambda i: beta0 * math.sqrt(i),
-            lambda i: gamma,
-            f"sqrt_growth(beta0={beta0:g}, gamma={gamma:g})",
-        )
+        return Schedule(lambda i: beta0 * math.sqrt(i), lambda i: gamma)
+
+    def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Validated temperatures and step sizes ``(beta_i, gamma_i)`` for ``i = 1..n``."""
+        betas = np.array([float(self.beta_at(i)) for i in range(1, n + 1)])
+        gammas = np.array([float(self.gamma_at(i)) for i in range(1, n + 1)])
+        for i in range(n):
+            _require_positive(f"beta_at({i + 1})", betas[i])
+            _require_positive(f"gamma_at({i + 1})", gammas[i])
+        return betas, gammas
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -108,10 +130,14 @@ class MixturePredictor:
         return mixture_value(self.weights, self.dictionary, x)
 
 
-def ma_init(m: int) -> AggregatorState:
-    """Fresh state: zero scores, uniform mirrored weights, empty average."""
+def _require_mixture_size(m: int) -> None:
     if m < 2:
         raise ValueError(f"aggregation needs at least two dictionary functions, got m={m}")
+
+
+def ma_init(m: int) -> AggregatorState:
+    """Fresh state: zero scores, uniform mirrored weights, empty average."""
+    _require_mixture_size(m)
     return AggregatorState(
         step=0,
         scores=np.zeros(m),
@@ -152,6 +178,68 @@ def averaged_weights(state: AggregatorState) -> np.ndarray:
     return renormalize(state.weighted_sum)
 
 
+def ma_weights(idx, design, ys, kind: str, betas, gammas) -> np.ndarray:
+    """Averaged weights of the gradient algorithm, one row per replicate.
+
+    Row ``r`` folds the observations ``(design[a], ys[a])`` for the atom
+    indices ``a`` in ``idx[r]``, in order, with temperature ``betas[t]``
+    and step size ``gammas[t]`` at step ``t + 1``.
+    """
+    reps, n = idx.shape
+    m = design.shape[1]
+    scores = np.zeros((reps, m))
+    mirrored = np.full((reps, m), 1.0 / m)
+    total = np.zeros((reps, m))
+    gamma_total = 0.0
+    for t in range(n):
+        a = idx[:, t]
+        f = design[a]
+        mix = (mirrored * f).sum(axis=1, keepdims=True)
+        coef = grad_coef(kind, ys[a][:, None], mix)
+        total += gammas[t] * mirrored
+        gamma_total += gammas[t]
+        scores += gammas[t] * (coef * f)
+        mirrored = softmin(scores / betas[t])
+    return total / gamma_total
+
+
+def lma_weights(idx, losses, beta: float) -> np.ndarray:
+    """Averaged weights of the linearized algorithm, one row per replicate.
+
+    ``losses[a]`` is the per-function loss vector at atom ``a``; row ``r``
+    folds the atoms ``idx[r]`` in order at constant temperature ``beta``.
+    """
+    reps, n = idx.shape
+    m = losses.shape[1]
+    scores = np.zeros((reps, m))
+    mirrored = np.full((reps, m), 1.0 / m)
+    total = np.zeros((reps, m))
+    for t in range(n):
+        total += mirrored
+        scores += losses[idx[:, t]]
+        mirrored = softmin(scores / beta)
+    return total / n
+
+
+def erm_totals(idx, losses) -> np.ndarray:
+    """Summed per-function losses ``sum_t losses[idx[r, t]]``, one row per replicate.
+
+    The empirical risk minimizer of replicate ``r`` is the row's argmin
+    (ties to the lowest index).
+    """
+    totals = np.zeros((idx.shape[0], losses.shape[1]))
+    for t in range(idx.shape[1]):
+        totals += losses[idx[:, t]]
+    return totals
+
+
+def _loss_table(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dictionary) -> np.ndarray:
+    """Per-function loss vectors of ``data``, one row per observation."""
+    if len(data) == 0:
+        raise ValueError("need at least one observation")
+    return np.stack([linearized_loss_vector(spec, dictionary, z) for z in data])
+
+
 def ma_run(
     data: Sequence[LabeledSample],
     spec: LossSpec,
@@ -165,10 +253,12 @@ def ma_run(
     """
     if len(data) == 0:
         raise ValueError("need at least one observation")
-    state = ma_init(dictionary.size)
-    for z in data:
-        state = ma_step(state, z, spec, dictionary, sched)
-    theta = averaged_weights(state)
+    _require_mixture_size(dictionary.size)
+    ys = np.array([z.y for z in data], dtype=float)
+    check_labels(spec.kind, ys)
+    design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in data])
+    betas, gammas = sched.arrays(len(data))
+    theta = ma_weights(np.arange(len(data))[None, :], design, ys, spec.kind, betas, gammas)[0]
     return theta, MixturePredictor(dictionary, theta)
 
 
@@ -183,20 +273,10 @@ def lma_run(
     Scores accumulate the per-function loss vectors; any loss kind is
     accepted, hinge included, because no derivative is taken.
     """
-    if len(data) == 0:
-        raise ValueError("need at least one observation")
     _require_positive("beta", beta)
-    m = dictionary.size
-    if m < 2:
-        raise ValueError(f"aggregation needs at least two dictionary functions, got m={m}")
-    scores = np.zeros(m)
-    mirrored = uniform_weights(m)
-    weighted_sum = np.zeros(m)
-    for z in data:
-        weighted_sum = weighted_sum + mirrored
-        scores = scores + linearized_loss_vector(spec, dictionary, z)
-        mirrored = gibbs_map(scores, beta)
-    theta = renormalize(weighted_sum)
+    _require_mixture_size(dictionary.size)
+    losses = _loss_table(data, spec, dictionary)
+    theta = lma_weights(np.arange(len(data))[None, :], losses, beta)[0]
     return theta, MixturePredictor(dictionary, theta)
 
 
@@ -209,11 +289,7 @@ def erm_select(
 
     Ties break to the lowest index (the first minimum found).
     """
-    if len(data) == 0:
-        raise ValueError("need at least one observation")
-    totals = np.zeros(dictionary.size)
-    for z in data:
-        totals += linearized_loss_vector(spec, dictionary, z)
-    emp = totals / len(data)
+    losses = _loss_table(data, spec, dictionary)
+    emp = erm_totals(np.arange(len(data))[None, :], losses)[0] / len(data)
     j = int(np.argmin(emp))
     return j, float(emp[j])

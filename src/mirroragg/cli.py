@@ -25,6 +25,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -46,7 +47,7 @@ __all__ = ["main", "ConfigError", "CSV_HEADER", "load_run_config", "config_diges
 CSV_HEADER = "n,M,algorithm,loss,oracle_kind,mean_excess,stderr,oracle_value,bound_value,bound_pass,seed"
 
 _SCHEMA = {
-    "generator": {"family", "grid_size", "noise_level", "margin_exponent", "tie_gap", "recipe"},
+    "generator": {"family", "grid_size", "noise_level", "margin_exponent", "tie_gap"},
     "experiment": {"n_grid", "m_grid", "replications", "algorithms", "loss", "y_bound", "seed"},
     "schedule": {"lma_beta", "ma_beta0", "ma_schedule"},
     "conditions": {"loss", "y_bound", "betas", "n", "m", "mc_outer", "trials", "seed"},
@@ -152,7 +153,6 @@ def _get_generator(resolved: dict) -> GeneratorSpec:
             noise_level=_get_float(resolved, "generator.noise_level", 0.0),
             margin_exponent=_get_float(resolved, "generator.margin_exponent", 1.0),
             tie_gap=_get_float(resolved, "generator.tie_gap", 0.01),
-            recipe=resolved.get("generator.recipe", ""),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -241,8 +241,10 @@ def cmd_run(args) -> int:
     _write_manifest(out_dir, digest, config.master_seed, [results_path])
 
     cells = [(config, n, m) for n in config.n_grid for m in config.m_grid]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # more workers than cells or cores cannot help, and each one is a process
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_cell_worker, cells))
     else:
         outcomes = [_cell_worker(cell) for cell in cells]
@@ -371,12 +373,11 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
-    if config_required:
+def _add_common(parser: argparse.ArgumentParser, config: bool) -> None:
+    if config:
         parser.add_argument("--config", required=True, help="path to the INI-style config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config's master seed")
+        parser.add_argument("--seed", type=int, default=None, help="override the config's master seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker count (cells)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -389,11 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run the benchmark grid of a config file")
-    _add_common(run_parser, config_required=True)
+    _add_common(run_parser, config=True)
+    run_parser.add_argument("--jobs", type=int, default=1, help="worker count, capped at cells and CPUs")
     run_parser.set_defaults(func=cmd_run)
 
     cond_parser = sub.add_parser("check-conditions", help="run the loss-condition checkers")
-    _add_common(cond_parser, config_required=True)
+    _add_common(cond_parser, config=True)
     cond_parser.set_defaults(func=cmd_check_conditions)
 
     rates_parser = sub.add_parser("rates", help="print reference rate curves")
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates_parser.add_argument(
         "--kinds", nargs="+", default=["MS", "C"], choices=["MS", "C"], help="oracle kinds"
     )
-    _add_common(rates_parser, config_required=False)
+    _add_common(rates_parser, config=False)
     rates_parser.set_defaults(func=cmd_rates)
 
     return parser

@@ -27,17 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .experiments import _batch_linearized
-from .losses import (
-    LossSpec,
-    PHI_EXPONENTIAL,
-    PHI_LOGIT2,
-    _loss_values,
-    minimal_nice_beta,
-)
-from .oracles import FiniteDistribution, _atom_design
+from .aggregation import lma_weights
+from .losses import LossSpec, PHI_EXPONENTIAL, PHI_LOGIT2, loss_values, minimal_nice_beta
+from .oracles import FiniteDistribution, atom_design
 from .simplex import Dictionary, uniform_weights, validate_weights
 
 __all__ = [
@@ -123,19 +116,22 @@ def check_nice_loss(
     if not math.isfinite(beta) or beta <= 0.0:
         raise ValueError(f"temperature beta must be positive and finite, got {beta!r}")
     dist.validate_for(spec)
-    design = _atom_design(dictionary, dist)
+    design = atom_design(dictionary, dist)
     train_idx = np.empty((mc_outer, n), dtype=np.intp)
     test_idx = np.empty(mc_outer, dtype=np.intp)
     for r in range(mc_outer):
         rng = np.random.default_rng([seed, r])
         train_idx[r] = dist.sample_indices(rng, n)
         test_idx[r] = dist.sample_indices(rng, 1)[0]
-    thetas = _batch_linearized(train_idx, design, dist.ys, spec.kind, beta)
+    losses = loss_values(spec.kind, dist.ys[:, None], design)
+    thetas = lma_weights(train_idx, losses, beta)
     test_values = design[test_idx]
     test_ys = dist.ys[test_idx]
-    q_mix = _loss_values(spec.kind, test_ys, (thetas * test_values).sum(axis=1))
-    u = _loss_values(spec.kind, test_ys[:, None], test_values)
-    vals = logsumexp((q_mix[:, None] - u) / beta, axis=1, b=thetas)
+    q_mix = loss_values(spec.kind, test_ys, (thetas * test_values).sum(axis=1))
+    # log sum_j theta_j e^{a_j}, with the row maximum of a factored out
+    a = (q_mix[:, None] - losses[test_idx]) / beta
+    a_max = a.max(axis=1)
+    vals = a_max + np.log((thetas * np.exp(a - a_max[:, None])).sum(axis=1))
     estimate = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(mc_outer))
     return ConditionVerdict(
@@ -156,8 +152,8 @@ def surrogate_mixture_loss(spec: LossSpec, dictionary: Dictionary, dist: FiniteD
     concavity check must find violations whenever the per-function losses
     actually differ.
     """
-    design = _atom_design(dictionary, dist)
-    per_function = _loss_values(spec.kind, dist.ys[:, None], design)
+    design = atom_design(dictionary, dist)
+    per_function = loss_values(spec.kind, dist.ys[:, None], design)
 
     def batch_loss(thetas: np.ndarray) -> np.ndarray:
         return thetas @ per_function.T
@@ -197,11 +193,11 @@ def check_exp_map_concavity(
         theta_ref = uniform_weights(m)
     theta_ref = validate_weights(theta_ref, size=m)
 
-    design = _atom_design(dictionary, dist)
+    design = atom_design(dictionary, dist)
     if mixture_loss is None:
 
         def mixture_loss(thetas: np.ndarray) -> np.ndarray:
-            return _loss_values(spec.kind, dist.ys[None, :], thetas @ design.T)
+            return loss_values(spec.kind, dist.ys[None, :], thetas @ design.T)
 
     ref_losses = mixture_loss(theta_ref[None, :])[0]
     ps = dist.ps

@@ -24,19 +24,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .aggregation import Schedule, erm_totals, lma_weights, ma_weights
 from .losses import (
     LabeledSample,
     LossSpec,
     PHI_EXPONENTIAL,
     PHI_HINGE,
-    PHI_KINDS,
     PHI_LOGIT2,
     SQUARED,
-    _grad_coef,
-    _loss_values,
     gradient_second_moment_bound,
+    loss_values,
 )
-from .oracles import FiniteDistribution, _atom_design, c_oracle, ms_oracle
+from .oracles import FiniteDistribution, atom_design, c_oracle, column_risks, ms_oracle
 from .simplex import TabularDictionary
 
 __all__ = [
@@ -57,21 +56,12 @@ FAMILIES = ("bounded_regression", "phi_classification", "margin_classification",
 
 _FAMILY_CODES = {family: code for code, family in enumerate(FAMILIES, start=1)}
 
-_RECIPES = {
-    "bounded_regression": "anchor_plus_perturbations",
-    "phi_classification": "random_classifiers",
-    "margin_classification": "threshold_plus_random",
-    "near_tie": "constant_ladder",
-}
-
 # Per-arm perturbation amplitudes for the regression recipe are log-spread
 # over this interval so the dictionary's risk gaps straddle the crossover
 # scales of the benchmark n grid.
 _PERTURBATION_AMPLITUDES = (0.35, 0.7)
 
 _ALGORITHMS = ("MA", "LMA", "ERM")
-
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -90,7 +80,6 @@ class GeneratorSpec:
     noise_level: float = 0.0
     margin_exponent: float = 1.0
     tie_gap: float = 0.01
-    recipe: str = ""
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -105,15 +94,6 @@ class GeneratorSpec:
             )
         if not math.isfinite(self.tie_gap) or self.tie_gap < 0.0:
             raise ValueError(f"tie_gap must be a nonnegative finite number, got {self.tie_gap!r}")
-        if self.recipe and self.recipe != _RECIPES[self.family]:
-            raise ValueError(
-                f"unknown recipe {self.recipe!r} for family {self.family!r}; "
-                f"supported: {_RECIPES[self.family]!r}"
-            )
-
-    @property
-    def resolved_recipe(self) -> str:
-        return self.recipe or _RECIPES[self.family]
 
 
 def _regression_atoms(x_values, means, sigma):
@@ -294,78 +274,12 @@ class BoundCheck:
     failures: tuple
 
 
-def _softmin_rows(z: np.ndarray) -> np.ndarray:
-    w = np.exp(-(z - z.min(axis=1, keepdims=True)))
-    return w / w.sum(axis=1, keepdims=True)
-
-
 def _draw_sample_indices(dist, master_seed, n, m, replications):
     idx = np.empty((replications, n), dtype=np.int64)
     for r in range(replications):
         rng = np.random.default_rng([master_seed, n, m, r])
         idx[r] = dist.sample_indices(rng, n)
     return idx
-
-
-def _batch_linearized(idx, design, ys, kind, beta):
-    """Averaged weights of the linearized algorithm, one row per replicate."""
-    reps, n = idx.shape
-    m = design.shape[1]
-    out = np.empty((reps, m))
-    for lo in range(0, reps, _CHUNK):
-        block = idx[lo : lo + _CHUNK]
-        rows = block.shape[0]
-        scores = np.zeros((rows, m))
-        mirrored = np.full((rows, m), 1.0 / m)
-        total = np.zeros((rows, m))
-        for t in range(n):
-            a = block[:, t]
-            total += mirrored
-            scores += _loss_values(kind, ys[a][:, None], design[a])
-            mirrored = _softmin_rows(scores / beta)
-        out[lo : lo + _CHUNK] = total / n
-    return out
-
-
-def _batch_gradient(idx, design, ys, kind, betas, gammas):
-    """Averaged weights of the gradient algorithm, one row per replicate."""
-    reps, n = idx.shape
-    m = design.shape[1]
-    out = np.empty((reps, m))
-    for lo in range(0, reps, _CHUNK):
-        block = idx[lo : lo + _CHUNK]
-        rows = block.shape[0]
-        scores = np.zeros((rows, m))
-        mirrored = np.full((rows, m), 1.0 / m)
-        total = np.zeros((rows, m))
-        gamma_total = 0.0
-        for t in range(n):
-            a = block[:, t]
-            f = design[a]
-            y = ys[a][:, None]
-            mix = (mirrored * f).sum(axis=1, keepdims=True)
-            coef = _grad_coef(kind, y, mix)
-            total += gammas[t] * mirrored
-            gamma_total += gammas[t]
-            scores += gammas[t] * (coef * f)
-            mirrored = _softmin_rows(scores / betas[t])
-        out[lo : lo + _CHUNK] = total / gamma_total
-    return out
-
-
-def _batch_erm(idx, design, ys, kind):
-    """Selected vertex index per replicate (ties to the lowest index)."""
-    reps, n = idx.shape
-    m = design.shape[1]
-    out = np.empty(reps, dtype=np.int64)
-    for lo in range(0, reps, _CHUNK):
-        block = idx[lo : lo + _CHUNK]
-        totals = np.zeros((block.shape[0], m))
-        for t in range(n):
-            a = block[:, t]
-            totals += _loss_values(kind, ys[a][:, None], design[a])
-        out[lo : lo + _CHUNK] = np.argmin(totals, axis=1)
-    return out
 
 
 def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
@@ -384,16 +298,16 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     convex = c_oracle(dictionary, loss, dist)
     oracle_values = {"MS": ms.risk_value, "C": convex.risk_value}
 
-    design = _atom_design(dictionary, dist)
-    ys = dist.ys
-    ps = dist.ps
+    design = atom_design(dictionary, dist)
     kind = loss.kind
+    losses = loss_values(kind, dist.ys[:, None], design)
     reps = config.replications
     idx = _draw_sample_indices(dist, config.master_seed, n, m, reps)
 
-    def mixture_risk(theta):
-        # same arithmetic as exact_risk on a mixture: design @ theta, then fsum
-        return math.fsum((ps * _loss_values(kind, ys, design @ theta)).tolist())
+    def mixture_risks(thetas):
+        # one design @ theta per replicate: a single design @ thetas.T sums
+        # in another order and moves the last digits of the results
+        return column_risks(kind, dist, (design @ theta for theta in thetas))
 
     log_m = math.log(m)
     rows: list = []
@@ -423,27 +337,22 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
         if algorithm == "LMA":
             betas = config.lma_betas or default_lma_betas(loss, dictionary.range_bound)
             for beta in betas:
-                thetas = _batch_linearized(idx, design, ys, kind, beta)
-                achieved = [mixture_risk(theta) for theta in thetas]
+                achieved = mixture_risks(lma_weights(idx, losses, beta))
                 label = "LMA" if len(betas) == 1 else f"LMA@{beta:.6g}"
                 emit(label, achieved, "MS", beta * log_m / (n + 1))
         elif algorithm == "MA":
             qstar = gradient_second_moment_bound(loss, dictionary.range_bound)
             beta0 = config.ma_beta0 if config.ma_beta0 is not None else math.sqrt(qstar / log_m)
-            steps = np.arange(1, n + 1, dtype=float)
             if config.ma_schedule == "sqrt_growth":
-                betas_t = beta0 * np.sqrt(steps)
+                schedule = Schedule.sqrt_growth(beta0)
             else:
-                betas_t = np.full(n, beta0)
-            gammas_t = np.ones(n)
-            thetas = _batch_gradient(idx, design, ys, kind, betas_t, gammas_t)
-            achieved = [mixture_risk(theta) for theta in thetas]
+                schedule = Schedule.constant(beta0)
+            betas_t, gammas_t = schedule.arrays(n)
+            achieved = mixture_risks(ma_weights(idx, design, dist.ys, kind, betas_t, gammas_t))
             emit("MA", achieved, "C", 2.0 * math.sqrt(qstar * log_m / n))
         else:
-            vertex_risks = np.array(
-                [math.fsum((ps * _loss_values(kind, ys, design[:, j])).tolist()) for j in range(m)]
-            )
-            selected = _batch_erm(idx, design, ys, kind)
+            vertex_risks = np.array(column_risks(kind, dist, design.T))
+            selected = np.argmin(erm_totals(idx, losses), axis=1)
             emit("ERM", vertex_risks[selected], "MS", None)
 
     return rows

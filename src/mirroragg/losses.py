@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import expit
 
 from .simplex import Dictionary, validate_weights
 
@@ -36,6 +35,9 @@ __all__ = [
     "PHI_KINDS",
     "LossSpec",
     "LabeledSample",
+    "check_labels",
+    "loss_values",
+    "grad_coef",
     "loss_value",
     "loss_gradient_theta",
     "linearized_loss_vector",
@@ -87,12 +89,21 @@ class LabeledSample:
     y: float
 
 
-def _check_label(kind: str, y: float) -> None:
-    if kind in PHI_KINDS and y not in (-1.0, 1.0):
-        raise ValueError(f"margin losses require labels in {{-1, +1}}, got y={y!r}")
+def check_labels(kind: str, ys) -> None:
+    """Reject any label outside {-1, +1} when ``kind`` is a margin loss."""
+    if kind in PHI_KINDS:
+        bad = [float(y) for y in np.ravel(ys) if y not in (-1.0, 1.0)]
+        if bad:
+            raise ValueError(f"margin losses require labels in {{-1, +1}}, got {bad[:3]}")
 
 
-def _loss_values(kind: str, y, f):
+def _expit(x):
+    """Logistic sigmoid ``1 / (1 + e^-x)``; saturates to 0 for very negative ``x``."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def loss_values(kind: str, y, f):
     """Loss of prediction value(s) ``f`` against label(s) ``y``; broadcasts."""
     y = np.asarray(y, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -108,7 +119,7 @@ def _loss_values(kind: str, y, f):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _grad_coef(kind: str, y, f):
+def grad_coef(kind: str, y, f):
     """Derivative of the loss in its prediction argument, evaluated at ``f``.
 
     The simplex gradient of ``Q(z, f_theta)`` is this coefficient at
@@ -121,7 +132,7 @@ def _grad_coef(kind: str, y, f):
     if kind == PHI_EXPONENTIAL:
         return -y * np.exp(-y * f)
     if kind == PHI_LOGIT2:
-        return -y * expit(-y * f) / _LN2
+        return -y * _expit(-y * f) / _LN2
     raise ValueError(f"loss kind {kind!r} has no derivative")
 
 
@@ -134,14 +145,14 @@ def loss_value(spec: LossSpec, z: LabeledSample, f_value: float) -> float:
     """
     if not math.isfinite(f_value):
         raise ValueError(f"prediction value must be finite, got {f_value!r}")
-    _check_label(spec.kind, z.y)
+    check_labels(spec.kind, z.y)
     if spec.kind in PHI_KINDS and abs(f_value) > 1.0:
         warnings.warn(
             f"margin loss evaluated at |f|={abs(f_value):.3g} > 1; "
             "analytic temperature constants assume values in [-1, 1]",
             stacklevel=2,
         )
-    return float(_loss_values(spec.kind, z.y, f_value))
+    return float(loss_values(spec.kind, z.y, f_value))
 
 
 def loss_gradient_theta(spec: LossSpec, dictionary: Dictionary, z: LabeledSample, theta) -> np.ndarray:
@@ -154,10 +165,10 @@ def loss_gradient_theta(spec: LossSpec, dictionary: Dictionary, z: LabeledSample
     if not spec.differentiable:
         raise ValueError(f"loss kind {spec.kind!r} is not differentiable")
     theta = validate_weights(theta, size=dictionary.size)
-    _check_label(spec.kind, z.y)
+    check_labels(spec.kind, z.y)
     vals = np.asarray(dictionary.values_at(z.x), dtype=float)
     mix = float((theta * vals).sum())
-    coef = float(_grad_coef(spec.kind, z.y, mix))
+    coef = float(grad_coef(spec.kind, z.y, mix))
     return coef * vals
 
 
@@ -167,9 +178,9 @@ def linearized_loss_vector(spec: LossSpec, dictionary: Dictionary, z: LabeledSam
     Component ``j`` equals ``loss_value`` at the vertex ``e_j``.  Defined
     for every loss kind, hinge included, since no derivative is involved.
     """
-    _check_label(spec.kind, z.y)
+    check_labels(spec.kind, z.y)
     vals = np.asarray(dictionary.values_at(z.x), dtype=float)
-    return np.asarray(_loss_values(spec.kind, z.y, vals), dtype=float)
+    return np.asarray(loss_values(spec.kind, z.y, vals), dtype=float)
 
 
 def gradient_second_moment_bound(spec: LossSpec, range_bound: float) -> float:
@@ -207,7 +218,7 @@ def phi_derivatives(kind: str, x):
         e = np.exp(x)
         return e, e.copy()
     if kind == PHI_LOGIT2:
-        s = expit(x)
+        s = _expit(x)
         return s / _LN2, s * (1.0 - s) / _LN2
     raise ValueError(f"loss kind {kind!r} is not twice differentiable")
 
@@ -215,19 +226,13 @@ def phi_derivatives(kind: str, x):
 def minimal_nice_beta(kind: str) -> float:
     """Smallest temperature satisfying ``(phi'(x))^2 <= beta * phi''(x)`` on [-1, 1].
 
-    Computed as the supremum of ``(phi')^2 / phi''`` over a uniform grid of
-    10^6 + 1 points, refined by the closed form of the ratio at its
-    maximizer (``x = 1`` for both supported kinds, where the ratio is
-    ``e^x`` for the exponential loss and ``e^x / ln 2`` for the base-2
-    logistic loss).
+    This is the supremum of ``(phi')^2 / phi''`` over [-1, 1], in closed
+    form.  The ratio is ``e^x`` for the exponential loss and
+    ``e^x / ln 2`` for the base-2 logistic loss; both increase in ``x``,
+    so the supremum is the value at ``x = 1``: ``e`` and ``e / ln 2``.
     """
-    if kind not in (PHI_EXPONENTIAL, PHI_LOGIT2):
-        raise ValueError(f"loss kind {kind!r} is not twice differentiable; criterion needs phi''")
-    grid = np.linspace(-1.0, 1.0, 1_000_001)
-    d1, d2 = phi_derivatives(kind, grid)
-    grid_sup = float(np.max(d1 * d1 / d2))
     if kind == PHI_EXPONENTIAL:
-        analytic = math.e
-    else:
-        analytic = math.e / _LN2
-    return max(grid_sup, analytic)
+        return math.e
+    if kind == PHI_LOGIT2:
+        return math.e / _LN2
+    raise ValueError(f"loss kind {kind!r} is not twice differentiable; criterion needs phi''")

@@ -22,20 +22,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .losses import (
-    LabeledSample,
-    LossSpec,
-    PHI_HINGE,
-    PHI_KINDS,
-    _grad_coef,
-    _loss_values,
-)
+from .losses import LabeledSample, LossSpec, PHI_HINGE, PHI_KINDS, check_labels, grad_coef, loss_values
 from .simplex import Dictionary, uniform_weights, validate_weights
 
 __all__ = [
     "FiniteDistribution",
     "RiskReport",
     "ConvergenceError",
+    "atom_design",
+    "column_risks",
     "exact_risk",
     "ms_oracle",
     "c_oracle",
@@ -87,9 +82,7 @@ class FiniteDistribution:
     def validate_for(self, spec: LossSpec) -> None:
         """Check every atom is legal under ``spec`` (labels, bounds)."""
         if spec.kind in PHI_KINDS:
-            bad = [float(y) for y in self.ys if y not in (-1.0, 1.0)]
-            if bad:
-                raise ValueError(f"margin losses require labels in {{-1, +1}}, got {bad[:3]}")
+            check_labels(spec.kind, self.ys)
         elif np.max(np.abs(self.ys)) > spec.y_bound:
             raise ValueError(
                 f"labels exceed declared y_bound {spec.y_bound!r}: max |y| = {np.max(np.abs(self.ys))!r}"
@@ -130,9 +123,21 @@ class ConvergenceError(RuntimeError):
         self.gap = gap
 
 
-def _atom_design(dictionary: Dictionary, dist: FiniteDistribution) -> np.ndarray:
+def atom_design(dictionary: Dictionary, dist: FiniteDistribution) -> np.ndarray:
     """Matrix ``F[a, j] = f_j(x_a)`` over the atoms of ``dist``."""
     return np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z, _ in dist.atoms])
+
+
+def column_risks(kind: str, dist: FiniteDistribution, columns) -> list:
+    """Exact risk of each column of per-atom prediction values.
+
+    ``columns`` yields vectors ``v`` with ``v[a]`` the prediction at atom
+    ``a``.  Each risk is the compensated sum over atoms of ``p_a`` times
+    the loss at ``v[a]``, so it is exact up to one floating rounding.
+    Columns are reduced one at a time, so memory stays at one atom vector
+    however many columns there are.
+    """
+    return [math.fsum((dist.ps * loss_values(kind, dist.ys, v)).tolist()) for v in columns]
 
 
 def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> float:
@@ -150,10 +155,8 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
         values = np.asarray([dictionary.evaluate(j, z.x) for z, _ in dist.atoms], dtype=float)
     else:
         theta = validate_weights(theta_or_index, size=dictionary.size)
-        design = _atom_design(dictionary, dist)
-        values = design @ theta
-    losses = _loss_values(spec.kind, dist.ys, values)
-    return math.fsum((dist.ps * losses).tolist())
+        values = atom_design(dictionary, dist) @ theta
+    return column_risks(spec.kind, dist, [values])[0]
 
 
 def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> RiskReport:
@@ -161,20 +164,19 @@ def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) 
 
     Ties break to the lowest index.
     """
-    risks = [exact_risk(j, dictionary, spec, dist) for j in range(dictionary.size)]
+    dist.validate_for(spec)
+    risks = column_risks(spec.kind, dist, atom_design(dictionary, dist).T)
     j = int(np.argmin(risks))
     return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0)
 
 
-def _risk_closures(dictionary, spec, dist):
-    """Fast exact risk/gradient closures over the atom design matrix."""
-    design = _atom_design(dictionary, dist)
+def _risk_closures(design, kind, dist):
+    """Fast risk/gradient closures over the atom design matrix."""
     ys = dist.ys
     ps = dist.ps
-    kind = spec.kind
 
     def risk(theta):
-        return float(ps @ _loss_values(kind, ys, design @ theta))
+        return float(ps @ loss_values(kind, ys, design @ theta))
 
     if kind == PHI_HINGE:
 
@@ -187,7 +189,7 @@ def _risk_closures(dictionary, spec, dist):
 
         def grad(theta):
             mix = design @ theta
-            return design.T @ (ps * _grad_coef(kind, ys, mix))
+            return design.T @ (ps * grad_coef(kind, ys, mix))
 
     return risk, grad
 
@@ -309,7 +311,8 @@ def c_oracle(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     dist.validate_for(spec)
-    risk, grad = _risk_closures(dictionary, spec, dist)
+    design = atom_design(dictionary, dist)
+    risk, grad = _risk_closures(design, spec.kind, dist)
     m = dictionary.size
     if spec.kind == PHI_HINGE:
         theta, result = _minimize_hinge(risk, grad, m, tol, max_iter)
@@ -326,7 +329,7 @@ def c_oracle(
         )
     gap = result
     return RiskReport(
-        risk_value=exact_risk(theta, dictionary, spec, dist),
+        risk_value=column_risks(spec.kind, dist, [design @ theta])[0],
         oracle_kind="C",
         minimizer=theta,
         gap_certificate=float(gap),

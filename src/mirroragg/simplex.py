@@ -15,6 +15,7 @@ __all__ = [
     "validate_weights",
     "renormalize",
     "gibbs_map",
+    "softmin",
     "mixture_value",
     "Dictionary",
     "TabularDictionary",
@@ -105,9 +106,17 @@ def gibbs_map(scores, beta: float) -> np.ndarray:
         raise ValueError(f"scores must be a nonempty 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores must be finite")
-    z = arr / beta
-    w = np.exp(-(z - z.min()))
-    return w / w.sum()
+    return softmin(arr / beta)
+
+
+def softmin(z: np.ndarray) -> np.ndarray:
+    """Unchecked softmin along the last axis: ``exp(-z)`` normalized per row.
+
+    The row minimum is shifted to zero before exponentiating.  Callers
+    validate their input; ``gibbs_map`` is the checked entry point.
+    """
+    w = np.exp(-(z - z.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def mixture_value(theta, dictionary: "Dictionary", x) -> float:

@@ -1,14 +1,17 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the table.  The
-first three criteria share one benchmark run (12 grid cells at 1000
-replications); everything else builds its own fixtures inline.
+first three criteria and the golden-result comparison share one benchmark
+run (12 grid cells at 1000 replications); everything else builds its own
+fixtures inline.
 """
 
+import csv
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +40,9 @@ from mirroragg import (
     run_cell,
     verify_bound,
 )
-from mirroragg.losses import _loss_values
-from mirroragg.oracles import _atom_design
+from mirroragg.cli import rows_to_csv
+from mirroragg.losses import loss_values
+from mirroragg.oracles import atom_design
 
 SQUARED = LossSpec("squared", y_bound=1.0)
 EXPONENTIAL = LossSpec("phi_exponential")
@@ -53,6 +57,9 @@ BENCHMARK = ExperimentConfig(
     loss=SQUARED,
     master_seed=424243,
 )
+
+GOLDEN_RESULTS = Path(__file__).parent / "data" / "acceptance_results.csv"
+NUMERIC_FIELDS = ("mean_excess", "stderr", "oracle_value", "bound_value")
 
 PARALLEL_CONFIG = """\
 [generator]
@@ -94,6 +101,23 @@ def classification_instance(key, m, k, scale=1.0):
         atoms.append((LabeledSample(x, 1.0), float(eta[x]) / k))
         atoms.append((LabeledSample(x, -1.0), float(1.0 - eta[x]) / k))
     return FiniteDistribution(atoms), TabularDictionary(values)
+
+
+def test_benchmark_rows_match_golden_results(benchmark_rows):
+    """The benchmark grid reproduces the checked-in ``results.csv``.
+
+    Numeric fields agree to a relative 1e-12 (libm and BLAS may move the
+    last digits between machines); every other field agrees exactly.
+    """
+    golden = list(csv.DictReader(GOLDEN_RESULTS.read_text().splitlines()[1:]))
+    produced = list(csv.DictReader(rows_to_csv(benchmark_rows, "").splitlines()[1:]))
+    assert len(produced) == len(golden) == 36
+    for got, want in zip(produced, golden):
+        for field, expected in want.items():
+            if field in NUMERIC_FIELDS and expected:
+                assert math.isclose(float(got[field]), float(expected), rel_tol=1e-12, abs_tol=0.0), (field, got, want)
+            else:
+                assert got[field] == expected, (field, got, want)
 
 
 def test_criterion_01_selection_bound_holds_in_every_cell(benchmark_rows):
@@ -170,11 +194,11 @@ def _grid_weights(m, step=1000):
 
 
 def _grid_min_risk(spec, dictionary, dist, grid):
-    design = _atom_design(dictionary, dist)
+    design = atom_design(dictionary, dist)
     best = np.inf
     for lo in range(0, len(grid), 100_000):
         block = grid[lo : lo + 100_000]
-        losses = _loss_values(spec.kind, dist.ys[None, :], block @ design.T)
+        losses = loss_values(spec.kind, dist.ys[None, :], block @ design.T)
         best = min(best, float((losses @ dist.ps).min()))
     return best
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mirroragg import cli
 from mirroragg.cli import CSV_HEADER
 
 RUN_CONFIG = """\
@@ -144,6 +145,35 @@ seed = 5
         proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert ">= 1" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, expected",
+        [("5000", 3, [3]), ("5000", 64, [4]), ("2", 64, [2]), ("5000", None, [])],
+    )
+    def test_worker_count_is_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, expected):
+        # a recording stand-in for the pool: no worker process is started
+        pools = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 3"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
+        assert pools == expected
+        assert len((out / "results.csv").read_text().splitlines()) == 2 + 4 * 3
 
     def test_jobs_must_be_positive(self, tmp_path):
         config = write_config(tmp_path, RUN_CONFIG)

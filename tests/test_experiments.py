@@ -10,24 +10,25 @@ from mirroragg import (
     LossSpec,
     ResultRow,
     Schedule,
+    averaged_weights,
     c_oracle,
     default_lma_betas,
     exact_risk,
     fit_rate_slope,
     generate_instance,
-    lma_run,
-    ma_run,
+    gibbs_map,
+    linearized_loss_vector,
+    ma_init,
+    ma_step,
     ms_oracle,
     run_cell,
     uniform_weights,
     verify_bound,
 )
-from mirroragg.experiments import (
-    _batch_gradient,
-    _batch_linearized,
-    _draw_sample_indices,
-)
-from mirroragg.oracles import _atom_design
+from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
+from mirroragg.experiments import _draw_sample_indices
+from mirroragg.losses import loss_values
+from mirroragg.oracles import atom_design
 
 SQUARED = LossSpec("squared", y_bound=1.0)
 
@@ -175,24 +176,38 @@ class TestRunCell:
 
 class TestBatchEngines:
     def test_batched_runs_match_the_public_single_runs(self):
+        """Each kernel row equals a per-sample fold of the public steps.
+
+        The references are independent of the kernels: ``ma_step`` for the
+        gradient form, and ``gibbs_map`` over ``linearized_loss_vector``
+        sums for the linearized form and the selector.  Three replicates
+        check that rows do not leak into each other.
+        """
         spec = GeneratorSpec(family="bounded_regression", grid_size=8, noise_level=0.25)
         dist, dictionary = generate_instance(spec, m=5, seed=13)
-        design = _atom_design(dictionary, dist)
+        design = atom_design(dictionary, dist)
+        losses = loss_values("squared", dist.ys[:, None], design)
         idx = _draw_sample_indices(dist, 13, 17, 5, 3)
         beta = 3.0
-        beta0 = 1.7
+        sched = Schedule.sqrt_growth(1.7)
 
-        batched_lin = _batch_linearized(idx, design, dist.ys, "squared", beta)
-        steps = np.arange(1, 18, dtype=float)
-        batched_grad = _batch_gradient(
-            idx, design, dist.ys, "squared", beta0 * np.sqrt(steps), np.ones(17)
-        )
+        batched_lin = lma_weights(idx, losses, beta)
+        batched_grad = ma_weights(idx, design, dist.ys, "squared", *sched.arrays(17))
+        batched_totals = erm_totals(idx, losses)
         for r in range(3):
             data = [dist.atoms[i][0] for i in idx[r]]
-            theta_lin, _ = lma_run(data, SQUARED, dictionary, beta)
-            theta_grad, _ = ma_run(data, SQUARED, dictionary, Schedule.sqrt_growth(beta0))
-            assert_allclose(batched_lin[r], theta_lin, atol=1e-12)
-            assert_allclose(batched_grad[r], theta_grad, atol=1e-12)
+            state = ma_init(5)
+            scores = np.zeros(5)
+            mirrored = uniform_weights(5)
+            total = np.zeros(5)
+            for z in data:
+                state = ma_step(state, z, SQUARED, dictionary, sched)
+                total += mirrored
+                scores = scores + linearized_loss_vector(SQUARED, dictionary, z)
+                mirrored = gibbs_map(scores, beta)
+            assert_allclose(batched_grad[r], averaged_weights(state), rtol=0, atol=1e-12)
+            assert_allclose(batched_lin[r], total / len(data), rtol=0, atol=1e-12)
+            assert_allclose(batched_totals[r], scores, rtol=0, atol=1e-12)
 
 
 class TestRateFit:

@@ -1,0 +1,30 @@
+"""Package-wide rules: module boundaries and the runtime dependency set."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import mirroragg
+
+SOURCE = Path(mirroragg.__file__).parent
+
+
+def test_no_private_name_is_imported_across_modules():
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [
+                    f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert offenders == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import mirroragg.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
