@@ -24,6 +24,21 @@ and labels, ``lma_weights`` and ``erm_totals`` on the per-atom loss table
 with a one-replicate table built from their sample and validate what the
 kernels take on trust; ``ma_step`` is the validated per-sample step the
 kernels are tested against.
+
+Layout of the ``(R, M)`` kernel state.  Every MA/LMA step reduces over
+the arms of each replicate (the row min and normaliser of the softmin,
+and MA's mixture value).  Along a short contiguous arm axis numpy pays
+its per-row overhead on every one of the R rows.  So when replicates
+outnumber arms (R > M) ``ma_weights`` and ``lma_weights`` keep their
+state arm-major (column-major) and gather from an arm-major copy of the
+table: each reduction is then M elementwise passes over R contiguous
+values.  With R <= M (the public runs at R = 1, wide dictionaries) the
+state stays row-major.  The kernel body is the same either way; only the
+memory order differs.  The row min is exact in any order, and sums over
+two arms are too, so M = 2 results do not depend on the layout; for
+M >= 3 arm-major sums run sequentially instead of numpy's pairwise order,
+which moves the last bit of some weights.  Both kernels return row-major
+weights.
 """
 
 from __future__ import annotations
@@ -178,6 +193,18 @@ def averaged_weights(state: AggregatorState) -> np.ndarray:
     return renormalize(state.weighted_sum)
 
 
+def _arm_layout(reps: int, table: np.ndarray):
+    """Memory order of the ``(R, M)`` kernel state, and a gather of table rows in that order.
+
+    Arm-major when replicates outnumber arms, row-major otherwise (see
+    the module docstring).
+    """
+    if reps > table.shape[1]:
+        by_arm = np.ascontiguousarray(table.T)
+        return "F", lambda a: by_arm.take(a, axis=1).T
+    return "C", lambda a: table.take(a, axis=0)
+
+
 def ma_weights(idx, design, ys, kind: str, betas, gammas) -> np.ndarray:
     """Averaged weights of the gradient algorithm, one row per replicate.
 
@@ -187,20 +214,22 @@ def ma_weights(idx, design, ys, kind: str, betas, gammas) -> np.ndarray:
     """
     reps, n = idx.shape
     m = design.shape[1]
-    scores = np.zeros((reps, m))
-    mirrored = np.full((reps, m), 1.0 / m)
-    total = np.zeros((reps, m))
+    order, gather = _arm_layout(reps, design)
+    scores = np.zeros((reps, m), order=order)
+    mirrored = np.full((reps, m), 1.0 / m, order=order)
+    total = np.zeros((reps, m), order=order)
+    work = np.empty((reps, m), order=order)
     gamma_total = 0.0
     for t in range(n):
         a = idx[:, t]
-        f = design[a]
-        mix = (mirrored * f).sum(axis=1, keepdims=True)
-        coef = grad_coef(kind, ys[a][:, None], mix)
-        total += gammas[t] * mirrored
+        f = gather(a)
+        mix = np.multiply(mirrored, f, out=work).sum(axis=1, keepdims=True)
+        coef = grad_coef(kind, ys.take(a)[:, None], mix)
+        total += np.multiply(gammas[t], mirrored, out=work)
         gamma_total += gammas[t]
-        scores += gammas[t] * (coef * f)
-        mirrored = softmin(scores / betas[t])
-    return total / gamma_total
+        scores += np.multiply(gammas[t], np.multiply(coef, f, out=work), out=work)
+        softmin(np.divide(scores, betas[t], out=mirrored), out=mirrored)
+    return np.ascontiguousarray(total / gamma_total)
 
 
 def lma_weights(idx, losses, beta: float) -> np.ndarray:
@@ -211,14 +240,15 @@ def lma_weights(idx, losses, beta: float) -> np.ndarray:
     """
     reps, n = idx.shape
     m = losses.shape[1]
-    scores = np.zeros((reps, m))
-    mirrored = np.full((reps, m), 1.0 / m)
-    total = np.zeros((reps, m))
+    order, gather = _arm_layout(reps, losses)
+    scores = np.zeros((reps, m), order=order)
+    mirrored = np.full((reps, m), 1.0 / m, order=order)
+    total = np.zeros((reps, m), order=order)
     for t in range(n):
         total += mirrored
-        scores += losses[idx[:, t]]
-        mirrored = softmin(scores / beta)
-    return total / n
+        scores += gather(idx[:, t])
+        softmin(np.divide(scores, beta, out=mirrored), out=mirrored)
+    return np.ascontiguousarray(total / n)
 
 
 def erm_totals(idx, losses) -> np.ndarray:
@@ -229,7 +259,7 @@ def erm_totals(idx, losses) -> np.ndarray:
     """
     totals = np.zeros((idx.shape[0], losses.shape[1]))
     for t in range(idx.shape[1]):
-        totals += losses[idx[:, t]]
+        totals += losses.take(idx[:, t], axis=0)
     return totals
 
 

@@ -212,16 +212,27 @@ def rows_to_csv(rows, digest: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_manifest(out_dir: Path, digest: str, master_seed: int, outputs, failures=()) -> None:
+def _write_manifest(out_dir: Path, digest: str, master_seed: int, outputs, failures=(), workers=1) -> None:
     manifest = {
         "digest": digest,
         "tool_version": __version__,
         "master_seed": master_seed,
         "created": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
+        "workers": workers,
         "failures": list(failures),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+# A replicate step costs about as much as this many arm updates on top of
+# its M arms, so a cell's run time is roughly proportional to n * (M + 16).
+_STEP_COST_IN_ARMS = 16
+
+
+def _cell_cost(cell) -> int:
+    _, n, m = cell
+    return n * (m + _STEP_COST_IN_ARMS)
 
 
 def _cell_worker(args):
@@ -238,14 +249,17 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
-    _write_manifest(out_dir, digest, config.master_seed, [results_path])
-
     cells = [(config, n, m) for n in config.n_grid for m in config.m_grid]
     # more workers than cells or cores cannot help, and each one is a process
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    _write_manifest(out_dir, digest, config.master_seed, [results_path], workers=workers)
     if workers > 1:
+        # largest cells first, so that no long cell starts last; outcomes
+        # are then read back in grid order
+        largest_first = sorted(range(len(cells)), key=lambda i: -_cell_cost(cells[i]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cell_worker, cells))
+            futures = {i: pool.submit(_cell_worker, cells[i]) for i in largest_first}
+            outcomes = [futures[i].result() for i in range(len(cells))]
     else:
         outcomes = [_cell_worker(cell) for cell in cells]
 
@@ -260,7 +274,7 @@ def cmd_run(args) -> int:
             failures.append(payload)
 
     results_path.write_text(rows_to_csv(rows, digest))
-    _write_manifest(out_dir, digest, config.master_seed, [results_path], failures)
+    _write_manifest(out_dir, digest, config.master_seed, [results_path], failures, workers)
     if not args.quiet:
         print(f"wrote {results_path} ({len(rows)} rows)")
     if failures:

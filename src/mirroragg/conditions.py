@@ -117,7 +117,7 @@ def check_nice_loss(
         raise ValueError(f"temperature beta must be positive and finite, got {beta!r}")
     dist.validate_for(spec)
     design = atom_design(dictionary, dist)
-    train_idx = np.empty((mc_outer, n), dtype=np.intp)
+    train_idx = np.empty((mc_outer, n), dtype=np.intp, order="F")
     test_idx = np.empty(mc_outer, dtype=np.intp)
     for r in range(mc_outer):
         rng = np.random.default_rng([seed, r])

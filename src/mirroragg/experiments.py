@@ -275,7 +275,8 @@ class BoundCheck:
 
 
 def _draw_sample_indices(dist, master_seed, n, m, replications):
-    idx = np.empty((replications, n), dtype=np.int64)
+    # column-major, so the kernels read each step's atoms contiguously
+    idx = np.empty((replications, n), dtype=np.int64, order="F")
     for r in range(replications):
         rng = np.random.default_rng([master_seed, n, m, r])
         idx[r] = dist.sample_indices(rng, n)

@@ -88,9 +88,21 @@ class FiniteDistribution:
                 f"labels exceed declared y_bound {spec.y_bound!r}: max |y| = {np.max(np.abs(self.ys))!r}"
             )
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Cumulative atom probabilities, scaled so the last entry is exactly 1."""
+        cdf = self.ps.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. atom indices."""
-        return rng.choice(len(self.atoms), size=size, p=self.ps)
+        """Draw ``size`` i.i.d. atom indices by inverting the CDF.
+
+        Index for index (and with the same use of ``rng``) this is
+        ``rng.choice(len(atoms), size, p=ps)``, without re-validating
+        ``ps`` and rebuilding the CDF on every call.
+        """
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
     def sample(self, rng: np.random.Generator, size: int) -> list:
         """Draw ``size`` i.i.d. observations as LabeledSamples."""

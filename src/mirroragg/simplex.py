@@ -109,14 +109,21 @@ def gibbs_map(scores, beta: float) -> np.ndarray:
     return softmin(arr / beta)
 
 
-def softmin(z: np.ndarray) -> np.ndarray:
+def softmin(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unchecked softmin along the last axis: ``exp(-z)`` normalized per row.
 
     The row minimum is shifted to zero before exponentiating.  Callers
     validate their input; ``gibbs_map`` is the checked entry point.
+
+    ``out`` (which may be ``z`` itself) receives the result.  Any memory
+    order works: when ``z`` is column-major the row min and row sum run as
+    elementwise passes over the rows, one column at a time.
     """
-    w = np.exp(-(z - z.min(axis=-1, keepdims=True)))
-    return w / w.sum(axis=-1, keepdims=True)
+    # min - z is exactly -(z - min): IEEE subtraction rounds symmetrically
+    w = np.subtract(z.min(axis=-1, keepdims=True), z, out=out)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def mixture_value(theta, dictionary: "Dictionary", x) -> float:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -53,6 +54,35 @@ def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def record_pools(monkeypatch):
+    """Replace the process pool by a recording stand-in that starts no process.
+
+    Returns the list of requested pool sizes and the list of ``(n, M)``
+    cells in the order they were submitted; each cell runs in-process
+    when it is submitted.
+    """
+    pools, submitted = [], []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, cell):
+            submitted.append(cell[1:])
+            future = Future()
+            future.set_result(fn(cell))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    return pools, submitted
 
 
 class TestRunCommand:
@@ -151,29 +181,30 @@ seed = 5
         [("5000", 3, [3]), ("5000", 64, [4]), ("2", 64, [2]), ("5000", None, [])],
     )
     def test_worker_count_is_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, expected):
-        # a recording stand-in for the pool: no worker process is started
-        pools = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        pools, _ = record_pools(monkeypatch)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 3"))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
         assert pools == expected
         assert len((out / "results.csv").read_text().splitlines()) == 2 + 4 * 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == (expected[0] if expected else 1)
+
+    def test_largest_cells_are_submitted_first_and_rows_keep_grid_order(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 3"))
+        serial = tmp_path / "serial"
+        assert cli.main(["run", "--config", config, "--out", str(serial), "--quiet"]) == 0
+        _, submitted = record_pools(monkeypatch)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        pooled = tmp_path / "pooled"
+        assert cli.main(["run", "--config", config, "--out", str(pooled), "--jobs", "2", "--quiet"]) == 0
+        # cost n * (M + 16): n=8 before n=4, and within a size M=3 before M=2
+        assert submitted == [(8, 3), (8, 2), (4, 3), (4, 2)]
+        rows = (pooled / "results.csv").read_text().splitlines()[2:]
+        cells = [tuple(int(v) for v in row.split(",")[:2]) for row in rows]
+        assert cells == [(4, 2)] * 3 + [(4, 3)] * 3 + [(8, 2)] * 3 + [(8, 3)] * 3
+        assert (pooled / "results.csv").read_bytes() == (serial / "results.csv").read_bytes()
 
     def test_jobs_must_be_positive(self, tmp_path):
         config = write_config(tmp_path, RUN_CONFIG)

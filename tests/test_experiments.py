@@ -175,26 +175,28 @@ class TestRunCell:
 
 
 class TestBatchEngines:
-    def test_batched_runs_match_the_public_single_runs(self):
+    @pytest.mark.parametrize("reps", [3, 9])
+    def test_batched_runs_match_the_public_single_runs(self, reps):
         """Each kernel row equals a per-sample fold of the public steps.
 
         The references are independent of the kernels: ``ma_step`` for the
         gradient form, and ``gibbs_map`` over ``linearized_loss_vector``
-        sums for the linearized form and the selector.  Three replicates
-        check that rows do not leak into each other.
+        sums for the linearized form and the selector.  Several replicates
+        check that rows do not leak into each other; with five arms, three
+        replicates run the row-major state and nine the arm-major one.
         """
         spec = GeneratorSpec(family="bounded_regression", grid_size=8, noise_level=0.25)
         dist, dictionary = generate_instance(spec, m=5, seed=13)
         design = atom_design(dictionary, dist)
         losses = loss_values("squared", dist.ys[:, None], design)
-        idx = _draw_sample_indices(dist, 13, 17, 5, 3)
+        idx = _draw_sample_indices(dist, 13, 17, 5, reps)
         beta = 3.0
         sched = Schedule.sqrt_growth(1.7)
 
         batched_lin = lma_weights(idx, losses, beta)
         batched_grad = ma_weights(idx, design, dist.ys, "squared", *sched.arrays(17))
         batched_totals = erm_totals(idx, losses)
-        for r in range(3):
+        for r in range(reps):
             data = [dist.atoms[i][0] for i in idx[r]]
             state = ma_init(5)
             scores = np.zeros(5)
@@ -208,6 +210,33 @@ class TestBatchEngines:
             assert_allclose(batched_grad[r], averaged_weights(state), rtol=0, atol=1e-12)
             assert_allclose(batched_lin[r], total / len(data), rtol=0, atol=1e-12)
             assert_allclose(batched_totals[r], scores, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_a_row_does_not_depend_on_the_replicates_beside_it(self, m):
+        """Row 4 of a nine-replicate run equals the same replicate run alone.
+
+        Nine replicates run arm-major and one runs row-major.  The row min
+        is exact in both layouts, and so is a sum of two arms, so two arms
+        agree bit for bit; more arms may differ in the summation order.
+        """
+        spec = GeneratorSpec(family="bounded_regression", grid_size=8, noise_level=0.25)
+        dist, dictionary = generate_instance(spec, m=m, seed=21)
+        design = atom_design(dictionary, dist)
+        losses = loss_values("squared", dist.ys[:, None], design)
+        idx = _draw_sample_indices(dist, 21, 40, m, 9)
+        alone = idx[4:5]
+        betas, gammas = Schedule.sqrt_growth(0.9).arrays(40)
+        pairs = [
+            (ma_weights(idx, design, dist.ys, "squared", betas, gammas)[4],
+             ma_weights(alone, design, dist.ys, "squared", betas, gammas)[0]),
+            (lma_weights(idx, losses, 2.0)[4], lma_weights(alone, losses, 2.0)[0]),
+            (erm_totals(idx, losses)[4], erm_totals(alone, losses)[0]),
+        ]
+        for among, single in pairs:
+            if m == 2:
+                np.testing.assert_array_equal(among, single)
+            else:
+                assert_allclose(among, single, rtol=0, atol=1e-12)
 
 
 class TestRateFit:

@@ -54,6 +54,22 @@ class TestDistribution:
         b = dist.sample(np.random.default_rng(5), 20)
         assert a == b
 
+    @pytest.mark.parametrize("atoms", [1, 2, 7, 64])
+    def test_index_draws_equal_generator_choice(self, atoms):
+        # skewed weights: a Dirichlet with small concentration puts most
+        # mass on a few atoms and leaves some nearly empty
+        ps = np.random.default_rng(atoms).dirichlet(np.full(atoms, 0.2))
+        dist = FiniteDistribution([atom(a, 0.0, float(p)) for a, p in enumerate(ps / ps.sum())])
+        for seed in range(12):
+            for size in (0, 1, 17, 1000):
+                ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = dist.sample_indices(ours, size)
+                expected = numpy_choice.choice(atoms, size, p=dist.ps)
+                np.testing.assert_array_equal(drawn, expected)
+                assert drawn.dtype == expected.dtype
+                # both consumed the stream alike, so later draws agree too
+                assert ours.random() == numpy_choice.random()
+
 
 class TestExactRisk:
     def test_single_atom_perfect_fit(self):
