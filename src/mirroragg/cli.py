@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -51,11 +52,6 @@ _SCHEMA = {
     "experiment": {"n_grid", "m_grid", "replications", "algorithms", "loss", "y_bound", "seed"},
     "schedule": {"lma_beta", "ma_beta0", "ma_schedule"},
     "conditions": {"loss", "y_bound", "betas", "n", "m", "mc_outer", "trials", "seed"},
-}
-
-_REQUIRED = {
-    "run": {"generator": {"family"}, "experiment": {"n_grid", "m_grid", "replications", "algorithms", "loss", "seed"}},
-    "check-conditions": {"generator": {"family"}, "conditions": {"loss", "betas", "seed"}},
 }
 
 
@@ -87,58 +83,45 @@ def _read_config(path: str) -> dict:
     return resolved
 
 
-def _check_required(resolved: dict, command: str) -> None:
-    for section, keys in _REQUIRED[command].items():
-        for key in keys:
-            if f"{section}.{key}" not in resolved:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
-
-
 def config_digest(resolved: dict) -> str:
     """Stable hash of the fully resolved configuration."""
     canon = "\n".join(f"{key}={resolved[key]}" for key in sorted(resolved))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _get_int(resolved, key, default=None):
+_NO_DEFAULT = object()
+
+
+def _get(resolved: dict, key: str, conv=str, default=_NO_DEFAULT):
+    """``conv`` of the value of ``key``; a key without a default is required."""
     if key not in resolved:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+        if default is _NO_DEFAULT:
+            section, name = key.split(".", 1)
+            raise ConfigError(f"missing required key {name!r} in section [{section}]")
         return default
     try:
-        return int(resolved[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {resolved[key]!r}") from exc
-
-
-def _get_float(resolved, key, default=None):
-    if key not in resolved:
-        return default
-    try:
-        return float(resolved[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {resolved[key]!r}") from exc
-
-
-def _get_list(resolved, key, conv, default=None):
-    if key not in resolved:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    parts = resolved[key].replace(",", " ").split()
-    if not parts:
-        raise ConfigError(f"{key} must be a nonempty list")
-    try:
-        return tuple(conv(p) for p in parts)
+        return conv(resolved[key])
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key}={resolved[key]!r}: {exc}") from exc
 
 
+def _words(conv):
+    """Parser of a nonempty list of ``conv`` values, separated by spaces or commas."""
+
+    def parse(text: str) -> tuple:
+        words = text.replace(",", " ").split()
+        if not words:
+            raise ValueError("expected a nonempty list")
+        return tuple(conv(word) for word in words)
+
+    return parse
+
+
 def _get_loss(resolved, section) -> LossSpec:
-    kind = resolved.get(f"{section}.loss")
+    kind = _get(resolved, f"{section}.loss")
     if kind not in LOSS_KINDS:
         raise ConfigError(f"{section}.loss must be one of {LOSS_KINDS}, got {kind!r}")
-    y_bound = _get_float(resolved, f"{section}.y_bound", 1.0)
+    y_bound = _get(resolved, f"{section}.y_bound", float, 1.0)
     try:
         return LossSpec(kind=kind, y_bound=y_bound)
     except ValueError as exc:
@@ -148,11 +131,11 @@ def _get_loss(resolved, section) -> LossSpec:
 def _get_generator(resolved: dict) -> GeneratorSpec:
     try:
         return GeneratorSpec(
-            family=resolved.get("generator.family", ""),
-            grid_size=_get_int(resolved, "generator.grid_size", 16),
-            noise_level=_get_float(resolved, "generator.noise_level", 0.0),
-            margin_exponent=_get_float(resolved, "generator.margin_exponent", 1.0),
-            tie_gap=_get_float(resolved, "generator.tie_gap", 0.01),
+            family=_get(resolved, "generator.family"),
+            grid_size=_get(resolved, "generator.grid_size", int, 16),
+            noise_level=_get(resolved, "generator.noise_level", float, 0.0),
+            margin_exponent=_get(resolved, "generator.margin_exponent", float, 1.0),
+            tie_gap=_get(resolved, "generator.tie_gap", float, 0.01),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -163,56 +146,46 @@ def load_run_config(path: str, seed_override: int | None = None) -> tuple[Experi
     resolved = _read_config(path)
     if seed_override is not None:
         resolved["experiment.seed"] = str(seed_override)
-    _check_required(resolved, "run")
     try:
         config = ExperimentConfig(
             generator=_get_generator(resolved),
-            n_grid=_get_list(resolved, "experiment.n_grid", int),
-            m_grid=_get_list(resolved, "experiment.m_grid", int),
-            replications=_get_int(resolved, "experiment.replications"),
-            algorithms=_get_list(resolved, "experiment.algorithms", str),
+            n_grid=_get(resolved, "experiment.n_grid", _words(int)),
+            m_grid=_get(resolved, "experiment.m_grid", _words(int)),
+            replications=_get(resolved, "experiment.replications", int),
+            algorithms=_get(resolved, "experiment.algorithms", _words(str)),
             loss=_get_loss(resolved, "experiment"),
-            master_seed=_get_int(resolved, "experiment.seed"),
-            lma_betas=_get_list(resolved, "schedule.lma_beta", float, default=()),
-            ma_beta0=_get_float(resolved, "schedule.ma_beta0", None),
-            ma_schedule=resolved.get("schedule.ma_schedule", "sqrt_growth"),
+            master_seed=_get(resolved, "experiment.seed", int),
+            lma_betas=_get(resolved, "schedule.lma_beta", _words(float), ()),
+            ma_beta0=_get(resolved, "schedule.ma_beta0", float, None),
+            ma_schedule=_get(resolved, "schedule.ma_schedule", str, "sqrt_growth"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, resolved
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _field(value) -> str:
+    """CSV text of one field: 17 significant digits, true/false, empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _csv_text(digest: str, header: str, records) -> str:
+    """The digest line, ``header``, then one comma-joined line per record."""
+    lines = [f"# digest={digest}", header]
+    lines += [",".join(_field(value) for value in record) for record in records]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(rows, digest: str) -> str:
     """Serialize result rows with the pinned header and embedded digest."""
-    lines = [f"# digest={digest}", CSV_HEADER]
-    for row in rows:
-        bound_value = "" if row.bound_value is None else _fmt(row.bound_value)
-        bound_pass = "" if row.bound_pass is None else ("true" if row.bound_pass else "false")
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    str(row.m),
-                    row.algorithm,
-                    row.loss_kind,
-                    row.oracle_kind,
-                    _fmt(row.mean_excess),
-                    _fmt(row.stderr),
-                    _fmt(row.oracle_value),
-                    bound_value,
-                    bound_pass,
-                    str(row.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(digest, CSV_HEADER, (dataclasses.astuple(row) for row in rows))
 
 
-def _write_manifest(out_dir: Path, digest: str, master_seed: int, outputs, failures=(), workers=1) -> None:
+def _write_manifest(out_dir: Path, digest: str, master_seed: int | None, outputs, failures=(), workers=1) -> None:
     manifest = {
         "digest": digest,
         "tool_version": __version__,
@@ -223,6 +196,17 @@ def _write_manifest(out_dir: Path, digest: str, master_seed: int, outputs, failu
         "failures": list(failures),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _write_report(args, name: str, digest: str, seed, header: str, records) -> None:
+    """Write the manifest, then the CSV ``name`` under ``--out``."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    _write_manifest(out_dir, digest, seed, [path])
+    path.write_text(_csv_text(digest, header, records))
+    if not args.quiet:
+        print(f"wrote {path}")
 
 
 # A replicate step costs about as much as this many arm updates on top of
@@ -288,37 +272,32 @@ def cmd_check_conditions(args) -> int:
     resolved = _read_config(args.config)
     if args.seed is not None:
         resolved["conditions.seed"] = str(args.seed)
-    _check_required(resolved, "check-conditions")
     generator = _get_generator(resolved)
     spec = _get_loss(resolved, "conditions")
-    betas = _get_list(resolved, "conditions.betas", float)
-    n = _get_int(resolved, "conditions.n", 64)
-    m = _get_int(resolved, "conditions.m", 8)
-    mc_outer = _get_int(resolved, "conditions.mc_outer", 1000)
-    trials = _get_int(resolved, "conditions.trials", 1000)
-    seed = _get_int(resolved, "conditions.seed")
+    betas = _get(resolved, "conditions.betas", _words(float))
+    n = _get(resolved, "conditions.n", int, 64)
+    m = _get(resolved, "conditions.m", int, 8)
+    mc_outer = _get(resolved, "conditions.mc_outer", int, 1000)
+    trials = _get(resolved, "conditions.trials", int, 1000)
+    seed = _get(resolved, "conditions.seed", int)
     digest = config_digest(resolved)
 
+    records = []
+    # the checkers reject out-of-range sizes and temperatures, which come from the config
     try:
         dist, dictionary = generate_instance(generator, m, seed)
         dist.validate_for(spec)
+        for beta in betas:
+            moment = check_nice_loss(spec, dictionary, dist, beta, n=n, mc_outer=mc_outer, seed=seed)
+            concavity = check_exp_map_concavity(spec, dictionary, dist, beta, trials=trials, seed=seed)
+            for name, v in (("exp_moment", moment), ("concavity", concavity)):
+                records.append((spec.kind, beta, name, v.estimate, v.std_error, v.verdict, v.samples_used))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    records = []
-    for beta in betas:
-        moment = check_nice_loss(spec, dictionary, dist, beta, n=n, mc_outer=mc_outer, seed=seed)
-        concavity = check_exp_map_concavity(spec, dictionary, dist, beta, trials=trials, seed=seed)
-        records.append((beta, "exp_moment", moment))
-        records.append((beta, "concavity", concavity))
-
-    header = f"{'loss':<16} {'beta':>10} {'check':<11} {'estimate':>13} {'std_error':>11} {'verdict':<13} {'samples':>8}"
-    print(header)
-    for beta, name, verdict in records:
-        print(
-            f"{spec.kind:<16} {beta:>10.6g} {name:<11} {verdict.estimate:>13.4e} "
-            f"{verdict.std_error:>11.3e} {verdict.verdict:<13} {verdict.samples_used:>8}"
-        )
+    print(f"{'loss':<16} {'beta':>10} {'check':<11} {'estimate':>13} {'std_error':>11} {'verdict':<13} {'samples':>8}")
+    for kind, beta, name, estimate, std_error, verdict, samples in records:
+        print(f"{kind:<16} {beta:>10.6g} {name:<11} {estimate:>13.4e} {std_error:>11.3e} {verdict:<13} {samples:>8}")
     if spec.kind in (PHI_EXPONENTIAL, PHI_LOGIT2):
         report = nice_beta_report(spec.kind)
         print(
@@ -329,28 +308,8 @@ def cmd_check_conditions(args) -> int:
         print(f"minimal nice temperature: criterion inapplicable for {spec.kind}")
 
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "conditions_report.csv"
-        _write_manifest(out_dir, digest, seed, [report_path])
-        lines = [f"# digest={digest}", "loss,beta,check,estimate,std_error,verdict,samples_used"]
-        for beta, name, verdict in records:
-            lines.append(
-                ",".join(
-                    [
-                        spec.kind,
-                        _fmt(beta),
-                        name,
-                        _fmt(verdict.estimate),
-                        _fmt(verdict.std_error),
-                        verdict.verdict,
-                        str(verdict.samples_used),
-                    ]
-                )
-            )
-        report_path.write_text("\n".join(lines) + "\n")
-        if not args.quiet:
-            print(f"wrote {report_path}")
+        header = "loss,beta,check,estimate,std_error,verdict,samples_used"
+        _write_report(args, "conditions_report.csv", digest, seed, header, records)
     return 0
 
 
@@ -374,16 +333,8 @@ def cmd_rates(args) -> int:
     for n, m, kind, rate in table:
         print(f"{n:>8} {m:>6} {kind:<4} {rate:>24.17g}")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "reference_rates.csv"
-        seed = 0
-        _write_manifest(out_dir, digest, seed, [path])
-        lines = [f"# digest={digest}", "n,M,kind,rate"]
-        lines += [f"{n},{m},{kind},{_fmt(rate)}" for n, m, kind, rate in table]
-        path.write_text("\n".join(lines) + "\n")
-        if not args.quiet:
-            print(f"wrote {path}")
+        # no seed: the rates are closed forms
+        _write_report(args, "reference_rates.csv", digest, None, "n,M,kind,rate", table)
     return 0
 
 

@@ -117,14 +117,11 @@ def check_nice_loss(
         raise ValueError(f"temperature beta must be positive and finite, got {beta!r}")
     dist.validate_for(spec)
     design = atom_design(dictionary, dist)
-    train_idx = np.empty((mc_outer, n), dtype=np.intp, order="F")
-    test_idx = np.empty(mc_outer, dtype=np.intp)
-    for r in range(mc_outer):
-        rng = np.random.default_rng([seed, r])
-        train_idx[r] = dist.sample_indices(rng, n)
-        test_idx[r] = dist.sample_indices(rng, 1)[0]
+    # each replicate's last draw is its test observation
+    idx = dist.replicate_indices((seed,), mc_outer, n + 1)
+    test_idx = idx[:, n]
     losses = loss_values(spec.kind, dist.ys[:, None], design)
-    thetas = lma_weights(train_idx, losses, beta)
+    thetas = lma_weights(idx[:, :n], losses, beta)
     test_values = design[test_idx]
     test_ys = dist.ys[test_idx]
     q_mix = loss_values(spec.kind, test_ys, (thetas * test_values).sum(axis=1))

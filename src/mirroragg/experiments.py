@@ -274,15 +274,6 @@ class BoundCheck:
     failures: tuple
 
 
-def _draw_sample_indices(dist, master_seed, n, m, replications):
-    # column-major, so the kernels read each step's atoms contiguously
-    idx = np.empty((replications, n), dtype=np.int64, order="F")
-    for r in range(replications):
-        rng = np.random.default_rng([master_seed, n, m, r])
-        idx[r] = dist.sample_indices(rng, n)
-    return idx
-
-
 def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     """Run every configured algorithm on one grid cell.
 
@@ -303,7 +294,7 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     kind = loss.kind
     losses = loss_values(kind, dist.ys[:, None], design)
     reps = config.replications
-    idx = _draw_sample_indices(dist, config.master_seed, n, m, reps)
+    idx = dist.replicate_indices((config.master_seed, n, m), reps, n)
 
     def mixture_risks(thetas):
         # one design @ theta per replicate: a single design @ thetas.T sums

@@ -104,6 +104,18 @@ class FiniteDistribution:
         """
         return self._cdf.searchsorted(rng.random(size), side="right")
 
+    def replicate_indices(self, key, replicates: int, size: int) -> np.ndarray:
+        """``(replicates, size)`` atom indices, row ``r`` drawn from ``default_rng([*key, r])``.
+
+        Each replicate has its own stream, so a row does not depend on how
+        many replicates are drawn or in which order.  The array is
+        column-major, so the kernels read each step's atoms contiguously.
+        """
+        idx = np.empty((replicates, size), dtype=np.intp, order="F")
+        for r in range(replicates):
+            idx[r] = self.sample_indices(np.random.default_rng([*key, r]), size)
+        return idx
+
     def sample(self, rng: np.random.Generator, size: int) -> list:
         """Draw ``size`` i.i.d. observations as LabeledSamples."""
         idx = self.sample_indices(rng, size)

@@ -153,7 +153,10 @@ class Dictionary:
 
 
 class TabularDictionary(Dictionary):
-    """Dictionary stored as an ``(M, K)`` table over integer design points."""
+    """Dictionary stored as an ``(M, K)`` table over integer design points.
+
+    A design point must be an integer in ``[0, K)``; any other is a ``ValueError``.
+    """
 
     def __init__(self, values, range_bound: float = 1.0):
         table = np.asarray(values, dtype=float)
@@ -172,11 +175,18 @@ class TabularDictionary(Dictionary):
         self.grid_size = table.shape[1]
         self.range_bound = float(range_bound)
 
+    def _column(self, x) -> int:
+        # indexing with int(x) alone reads x = -1 as the last point and 2.7 as point 2
+        k = int(x)
+        if k != x or not 0 <= k < self.grid_size:
+            raise ValueError(f"design point {x!r} is not an integer in [0, {self.grid_size})")
+        return k
+
     def evaluate(self, j: int, x) -> float:
-        return float(self.values[j, int(x)])
+        return float(self.values[j, self._column(x)])
 
     def values_at(self, x) -> np.ndarray:
-        return self.values[:, int(x)]
+        return self.values[:, self._column(x)]
 
 
 class CallableDictionary(Dictionary):

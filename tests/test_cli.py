@@ -230,6 +230,16 @@ class TestCheckConditionsCommand:
         assert verdicts[("16", "exp_moment")] == "satisfied"
         assert verdicts[("0.16", "exp_moment")] == "violated"
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [("mc_outer = 150", "mc_outer = 50"), ("trials = 1000", "trials = 10"), ("betas = 16 0.16", "betas = -1")],
+        ids=["mc_outer", "trials", "betas"],
+    )
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, line, bad):
+        config = write_config(tmp_path, CONDITIONS_CONFIG.replace(line, bad))
+        assert cli.main(["check-conditions", "--config", config, "--quiet"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_margin_loss_prints_nice_beta_line(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -251,6 +261,26 @@ seed = 2
         assert proc.returncode == 0, proc.stderr
         assert "minimal nice temperature for phi_exponential" in proc.stdout
         assert "agrees: True" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, config_text, name, seed",
+    [
+        ("run", RUN_CONFIG, "results.csv", 11),
+        ("check-conditions", CONDITIONS_CONFIG, "conditions_report.csv", 3),
+        ("rates", None, "reference_rates.csv", None),
+    ],
+    ids=["run", "check-conditions", "rates"],
+)
+def test_manifest_names_the_output_and_its_digest(tmp_path, command, config_text, name, seed):
+    inputs = ["--config", write_config(tmp_path, config_text)] if config_text else ["--n", "10", "--m", "2"]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, "--out", str(out), "--quiet"]) == 0
+    digest_line = (out / name).read_text().splitlines()[0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert digest_line == f"# digest={manifest['digest']}"
+    assert manifest["outputs"] == [str(out / name)]
+    assert manifest["master_seed"] == seed
 
 
 class TestRatesCommand:

@@ -26,7 +26,6 @@ from mirroragg import (
     verify_bound,
 )
 from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
-from mirroragg.experiments import _draw_sample_indices
 from mirroragg.losses import loss_values
 from mirroragg.oracles import atom_design
 
@@ -136,7 +135,7 @@ class TestRunCell:
         assert abs(lma_row.mean_excess - (uniform_risk - ms.risk_value)) <= 1e-12
         assert abs(ma_row.mean_excess - (uniform_risk - convex.risk_value)) <= 1e-12
 
-        drawn = _draw_sample_indices(dist, config.master_seed, 1, 2, 1)[0, 0]
+        drawn = dist.replicate_indices((config.master_seed, 1, 2), 1, 1)[0, 0]
         sample, _ = dist.atoms[drawn]
         arm_losses = (sample.y - dictionary.values_at(sample.x)) ** 2
         picked = int(np.argmin(arm_losses))
@@ -189,7 +188,7 @@ class TestBatchEngines:
         dist, dictionary = generate_instance(spec, m=5, seed=13)
         design = atom_design(dictionary, dist)
         losses = loss_values("squared", dist.ys[:, None], design)
-        idx = _draw_sample_indices(dist, 13, 17, 5, reps)
+        idx = dist.replicate_indices((13, 17, 5), reps, 17)
         beta = 3.0
         sched = Schedule.sqrt_growth(1.7)
 
@@ -223,7 +222,7 @@ class TestBatchEngines:
         dist, dictionary = generate_instance(spec, m=m, seed=21)
         design = atom_design(dictionary, dist)
         losses = loss_values("squared", dist.ys[:, None], design)
-        idx = _draw_sample_indices(dist, 21, 40, m, 9)
+        idx = dist.replicate_indices((21, 40, m), 9, 40)
         alone = idx[4:5]
         betas, gammas = Schedule.sqrt_growth(0.9).arrays(40)
         pairs = [

@@ -1,6 +1,7 @@
-"""Package-wide rules: module boundaries and the runtime dependency set."""
+"""Package-wide rules: module boundaries, runtime dependencies and the benchmark tracer's names."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import mirroragg
 
 SOURCE = Path(mirroragg.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_private_name_is_imported_across_modules():
@@ -28,3 +30,21 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
+    """``perfbench/run.py --trace 1`` fails on any wrapped name that is renamed away."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child = importlib.import_module("child")
+
+    class Lookup:
+        def __init__(self):
+            self.found, self.missing = [], []
+
+        def wrap(self, owner, attr, name, **options):
+            (self.found if hasattr(owner, attr) else self.missing).append(f"{owner.__name__}.{attr}")
+
+    lookup = Lookup()
+    child.install(mirroragg, lookup)
+    assert lookup.missing == []
+    assert len(lookup.found) == 22

@@ -6,8 +6,13 @@ from numpy.testing import assert_allclose
 
 from mirroragg import (
     CallableDictionary,
+    FiniteDistribution,
+    LabeledSample,
+    LossSpec,
     TabularDictionary,
+    exact_risk,
     gibbs_map,
+    lma_run,
     mixture_value,
     renormalize,
     uniform_weights,
@@ -139,6 +144,25 @@ class TestDictionaries:
         assert_allclose(dic.values_at(1), [0.2, 0.4])
         assert dic.size == 2
         assert dic.grid_size == 2
+
+    @pytest.mark.parametrize("x", [-1, 2.7, 3, np.int64(-3)])
+    def test_tabular_rejects_points_off_the_grid(self, x):
+        dic = TabularDictionary(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]))
+        with pytest.raises(ValueError, match="design point"):
+            dic.values_at(x)
+        with pytest.raises(ValueError, match="design point"):
+            dic.evaluate(0, x)
+        spec = LossSpec("squared", y_bound=1.0)
+        with pytest.raises(ValueError, match="design point"):
+            lma_run([LabeledSample(x, 0.9)] * 4, spec, dic, beta=4.0)
+        with pytest.raises(ValueError, match="design point"):
+            exact_risk(0, dic, spec, FiniteDistribution(((LabeledSample(x, 0.9), 1.0),)))
+
+    def test_tabular_accepts_integral_points(self):
+        dic = TabularDictionary(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]))
+        for x in (2, 2.0, np.int64(2)):
+            assert_allclose(dic.values_at(x), [0.3, 0.6])
+            assert dic.evaluate(1, x) == 0.6
 
     def test_callable_dictionary_evaluates(self):
         dic = CallableDictionary([lambda x: x / 2, lambda x: -x / 2], range_bound=1.0)
