@@ -20,10 +20,12 @@ the hand-traced tests pin it.
 Each recursion runs in one batch kernel over an ``(R, n)`` array of atom
 indices, one replicate per row: ``ma_weights`` on the atom design values
 and labels, ``lma_weights`` and ``erm_totals`` on the per-atom loss table
-``loss_values(kind, ys[:, None], design)``.  The public runs call them
-with a one-replicate table built from their sample and validate what the
-kernels take on trust; ``ma_step`` is the validated per-sample step the
-kernels are tested against.
+``loss_values(kind, ys[:, None], design)``.  The public runs fold their
+sample into such a table, one atom per distinct observation and one
+replicate row of indices, so they evaluate the dictionary once per
+distinct observation; they validate what the kernels take on trust.
+``ma_step`` is the validated per-sample step the kernels are tested
+against.
 
 Layout of the ``(R, M)`` kernel state.  Every MA/LMA step reduces over
 the arms of each replicate (the row min and normaliser of the softmin,
@@ -49,13 +51,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import (
+# linearized_loss_vector is unused here but stays a name of this module:
+# perfbench's tracer wraps aggregation.linearized_loss_vector
+from .losses import (  # noqa: F401
     LabeledSample,
     LossSpec,
     check_labels,
+    check_margin_range,
     grad_coef,
     linearized_loss_vector,
     loss_gradient_theta,
+    loss_values,
 )
 from .simplex import Dictionary, gibbs_map, mixture_value, renormalize, softmin, uniform_weights
 
@@ -108,7 +114,10 @@ class Schedule:
         """Validated temperatures and step sizes ``(beta_i, gamma_i)`` for ``i = 1..n``."""
         betas = np.array([float(self.beta_at(i)) for i in range(1, n + 1)])
         gammas = np.array([float(self.gamma_at(i)) for i in range(1, n + 1)])
-        for i in range(n):
+        ok = (betas > 0.0) & (gammas > 0.0) & np.isfinite(betas) & np.isfinite(gammas)
+        if not ok.all():
+            # the first bad step, its beta reported before its gamma
+            i = int(np.argmin(ok))
             _require_positive(f"beta_at({i + 1})", betas[i])
             _require_positive(f"gamma_at({i + 1})", gammas[i])
         return betas, gammas
@@ -263,11 +272,31 @@ def erm_totals(idx, losses) -> np.ndarray:
     return totals
 
 
-def _loss_table(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dictionary) -> np.ndarray:
-    """Per-function loss vectors of ``data``, one row per observation."""
+def _sample_atoms(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dictionary):
+    """The sample as an atom table: ``(idx, design, ys)`` with ``idx`` of shape ``(1, n)``.
+
+    Each observation maps to the first equal one seen, so the dictionary
+    is evaluated once per distinct observation.  An observation whose
+    design point is unhashable takes a row of its own.
+    """
     if len(data) == 0:
         raise ValueError("need at least one observation")
-    return np.stack([linearized_loss_vector(spec, dictionary, z) for z in data])
+    first: dict = {}
+    atoms: list = []
+    idx = np.empty((1, len(data)), dtype=np.intp)
+    for t, z in enumerate(data):
+        try:
+            a = first.setdefault(z, len(atoms))
+        except TypeError:
+            a = len(atoms)
+        if a == len(atoms):
+            atoms.append(z)
+        idx[0, t] = a
+    ys = np.array([z.y for z in atoms], dtype=float)
+    check_labels(spec.kind, ys)
+    design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in atoms])
+    check_margin_range(spec.kind, design)
+    return idx, design, ys
 
 
 def ma_run(
@@ -284,11 +313,9 @@ def ma_run(
     if len(data) == 0:
         raise ValueError("need at least one observation")
     _require_mixture_size(dictionary.size)
-    ys = np.array([z.y for z in data], dtype=float)
-    check_labels(spec.kind, ys)
-    design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in data])
+    idx, design, ys = _sample_atoms(data, spec, dictionary)
     betas, gammas = sched.arrays(len(data))
-    theta = ma_weights(np.arange(len(data))[None, :], design, ys, spec.kind, betas, gammas)[0]
+    theta = ma_weights(idx, design, ys, spec.kind, betas, gammas)[0]
     return theta, MixturePredictor(dictionary, theta)
 
 
@@ -305,8 +332,8 @@ def lma_run(
     """
     _require_positive("beta", beta)
     _require_mixture_size(dictionary.size)
-    losses = _loss_table(data, spec, dictionary)
-    theta = lma_weights(np.arange(len(data))[None, :], losses, beta)[0]
+    idx, design, ys = _sample_atoms(data, spec, dictionary)
+    theta = lma_weights(idx, loss_values(spec.kind, ys[:, None], design), beta)[0]
     return theta, MixturePredictor(dictionary, theta)
 
 
@@ -319,7 +346,7 @@ def erm_select(
 
     Ties break to the lowest index (the first minimum found).
     """
-    losses = _loss_table(data, spec, dictionary)
-    emp = erm_totals(np.arange(len(data))[None, :], losses)[0] / len(data)
+    idx, design, ys = _sample_atoms(data, spec, dictionary)
+    emp = erm_totals(idx, loss_values(spec.kind, ys[:, None], design))[0] / len(data)
     j = int(np.argmin(emp))
     return j, float(emp[j])

@@ -280,6 +280,8 @@ def cmd_check_conditions(args) -> int:
     mc_outer = _get(resolved, "conditions.mc_outer", int, 1000)
     trials = _get(resolved, "conditions.trials", int, 1000)
     seed = _get(resolved, "conditions.seed", int)
+    if seed < 0:
+        raise ConfigError(f"conditions.seed must be a nonnegative integer, got {seed}")
     digest = config_digest(resolved)
 
     records = []

@@ -32,6 +32,7 @@ from .losses import (
     PHI_HINGE,
     PHI_LOGIT2,
     SQUARED,
+    check_margin_range,
     gradient_second_moment_bound,
     loss_values,
 )
@@ -292,6 +293,7 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
 
     design = atom_design(dictionary, dist)
     kind = loss.kind
+    check_margin_range(kind, design)
     losses = loss_values(kind, dist.ys[:, None], design)
     reps = config.replications
     idx = dist.replicate_indices((config.master_seed, n, m), reps, n)

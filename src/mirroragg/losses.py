@@ -36,6 +36,7 @@ __all__ = [
     "LossSpec",
     "LabeledSample",
     "check_labels",
+    "check_margin_range",
     "loss_values",
     "grad_coef",
     "loss_value",
@@ -97,6 +98,22 @@ def check_labels(kind: str, ys) -> None:
             raise ValueError(f"margin losses require labels in {{-1, +1}}, got {bad[:3]}")
 
 
+def check_margin_range(kind: str, values) -> None:
+    """Warn when a margin loss meets prediction values outside [-1, 1].
+
+    Such values are legal, but the analytic temperature constants assume
+    that range.  The warning is attributed to the caller's caller.
+    """
+    if kind in PHI_KINDS:
+        worst = float(np.max(np.abs(values), initial=0.0))
+        if worst > 1.0:
+            warnings.warn(
+                f"margin loss evaluated at |f|={worst:.3g} > 1; "
+                "analytic temperature constants assume values in [-1, 1]",
+                stacklevel=3,
+            )
+
+
 def _expit(x):
     """Logistic sigmoid ``1 / (1 + e^-x)``; saturates to 0 for very negative ``x``."""
     with np.errstate(over="ignore"):
@@ -146,12 +163,7 @@ def loss_value(spec: LossSpec, z: LabeledSample, f_value: float) -> float:
     if not math.isfinite(f_value):
         raise ValueError(f"prediction value must be finite, got {f_value!r}")
     check_labels(spec.kind, z.y)
-    if spec.kind in PHI_KINDS and abs(f_value) > 1.0:
-        warnings.warn(
-            f"margin loss evaluated at |f|={abs(f_value):.3g} > 1; "
-            "analytic temperature constants assume values in [-1, 1]",
-            stacklevel=2,
-        )
+    check_margin_range(spec.kind, f_value)
     return float(loss_values(spec.kind, z.y, f_value))
 
 
@@ -175,11 +187,13 @@ def loss_gradient_theta(spec: LossSpec, dictionary: Dictionary, z: LabeledSample
 def linearized_loss_vector(spec: LossSpec, dictionary: Dictionary, z: LabeledSample) -> np.ndarray:
     """Vector of per-function losses ``(Q(z, f_1), ..., Q(z, f_M))``.
 
-    Component ``j`` equals ``loss_value`` at the vertex ``e_j``.  Defined
-    for every loss kind, hinge included, since no derivative is involved.
+    Component ``j`` equals ``loss_value`` at the vertex ``e_j``, warning
+    included.  Defined for every loss kind, hinge included, since no
+    derivative is involved.
     """
     check_labels(spec.kind, z.y)
     vals = np.asarray(dictionary.values_at(z.x), dtype=float)
+    check_margin_range(spec.kind, vals)
     return np.asarray(loss_values(spec.kind, z.y, vals), dtype=float)
 
 

@@ -138,7 +138,9 @@ class Dictionary:
 
     Subclasses provide ``evaluate``; ``values_at`` has a generic fallback.
     Evaluations must be deterministic and bounded by ``range_bound`` in
-    absolute value.
+    absolute value, and equal at design points that compare equal: the
+    public runs call ``values_at`` once per distinct observation and let
+    observations that compare equal share one atom.
     """
 
     size: int

@@ -240,6 +240,14 @@ class TestCheckConditionsCommand:
         assert cli.main(["check-conditions", "--config", config, "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [(), ("--seed", "-1")], ids=["config", "flag"])
+    def test_negative_seed_is_a_config_error_naming_key_and_value(self, tmp_path, capsys, override):
+        text = CONDITIONS_CONFIG.replace("seed = 3", "seed = -1") if not override else CONDITIONS_CONFIG
+        config = write_config(tmp_path, text)
+        assert cli.main(["check-conditions", "--config", config, "--quiet", *override]) == 2
+        err = capsys.readouterr().err
+        assert "config error: conditions.seed must be a nonnegative integer, got -1" in err
+
     def test_margin_loss_prints_nice_beta_line(self, tmp_path):
         config = write_config(
             tmp_path,

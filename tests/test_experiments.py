@@ -10,6 +10,7 @@ from mirroragg import (
     LossSpec,
     ResultRow,
     Schedule,
+    TabularDictionary,
     averaged_weights,
     c_oracle,
     default_lma_betas,
@@ -25,6 +26,7 @@ from mirroragg import (
     uniform_weights,
     verify_bound,
 )
+from mirroragg import experiments
 from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
 from mirroragg.losses import loss_values
 from mirroragg.oracles import atom_design
@@ -322,3 +324,22 @@ class TestDefaults:
             small_config(m_grid=(1,))
         with pytest.raises(ValueError, match="unknown algorithms"):
             small_config(algorithms=("SGD",))
+
+
+def test_run_cell_warns_once_per_cell_on_margin_values_outside_the_unit_range(monkeypatch):
+    real = experiments.generate_instance
+
+    def stretched(spec, m, seed):
+        dist, dictionary = real(spec, m, seed)
+        return dist, TabularDictionary(1.5 * dictionary.values, range_bound=1.5)
+
+    monkeypatch.setattr(experiments, "generate_instance", stretched)
+    config = small_config(
+        generator=GeneratorSpec(family="phi_classification", grid_size=6),
+        loss=LossSpec("phi_logit2"),
+        n_grid=(4,),
+        replications=3,
+    )
+    with pytest.warns(UserWarning, match=r"margin loss evaluated at \|f\|=1\.\d+ > 1") as record:
+        run_cell(config, 4, 2)
+    assert len(record) == 1
