@@ -293,7 +293,7 @@ def _sample_atoms(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dic
             atoms.append(z)
         idx[0, t] = a
     ys = np.array([z.y for z in atoms], dtype=float)
-    check_labels(spec.kind, ys)
+    check_labels(spec, ys)
     design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in atoms])
     check_margin_range(spec.kind, design)
     return idx, design, ys

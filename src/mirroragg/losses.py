@@ -90,12 +90,20 @@ class LabeledSample:
     y: float
 
 
-def check_labels(kind: str, ys) -> None:
-    """Reject any label outside {-1, +1} when ``kind`` is a margin loss."""
-    if kind in PHI_KINDS:
+def check_labels(spec: LossSpec, ys) -> None:
+    """Reject any label that ``spec`` does not allow.
+
+    Margin losses need labels in {-1, +1}; the squared loss needs finite
+    labels with ``|y| <= y_bound``.
+    """
+    if spec.kind in PHI_KINDS:
         bad = [float(y) for y in np.ravel(ys) if y not in (-1.0, 1.0)]
         if bad:
             raise ValueError(f"margin losses require labels in {{-1, +1}}, got {bad[:3]}")
+        return
+    worst = float(np.max(np.abs(np.asarray(ys, dtype=float))))
+    if not worst <= spec.y_bound:
+        raise ValueError(f"labels exceed declared y_bound {spec.y_bound!r}: max |y| = {worst!r}")
 
 
 def check_margin_range(kind: str, values) -> None:
@@ -162,7 +170,7 @@ def loss_value(spec: LossSpec, z: LabeledSample, f_value: float) -> float:
     """
     if not math.isfinite(f_value):
         raise ValueError(f"prediction value must be finite, got {f_value!r}")
-    check_labels(spec.kind, z.y)
+    check_labels(spec, z.y)
     check_margin_range(spec.kind, f_value)
     return float(loss_values(spec.kind, z.y, f_value))
 
@@ -177,7 +185,7 @@ def loss_gradient_theta(spec: LossSpec, dictionary: Dictionary, z: LabeledSample
     if not spec.differentiable:
         raise ValueError(f"loss kind {spec.kind!r} is not differentiable")
     theta = validate_weights(theta, size=dictionary.size)
-    check_labels(spec.kind, z.y)
+    check_labels(spec, z.y)
     vals = np.asarray(dictionary.values_at(z.x), dtype=float)
     mix = float((theta * vals).sum())
     coef = float(grad_coef(spec.kind, z.y, mix))
@@ -191,7 +199,7 @@ def linearized_loss_vector(spec: LossSpec, dictionary: Dictionary, z: LabeledSam
     included.  Defined for every loss kind, hinge included, since no
     derivative is involved.
     """
-    check_labels(spec.kind, z.y)
+    check_labels(spec, z.y)
     vals = np.asarray(dictionary.values_at(z.x), dtype=float)
     check_margin_range(spec.kind, vals)
     return np.asarray(loss_values(spec.kind, z.y, vals), dtype=float)

@@ -7,11 +7,13 @@ two oracle values the rate experiments compare against are
 * the selection oracle ``min_j R(f_j)`` over the dictionary, and
 * the convex oracle ``inf R(f_theta)`` over the whole simplex.
 
-The convex oracle is found by a first-order minimizer and certified by the
-vertex gap ``theta . g - min_j g_j`` with ``g`` the exact risk gradient,
-which upper-bounds the suboptimality of a convex objective over the
-simplex.  The reference rate curves for both aggregation problems are also
-provided here.
+The convex oracle is found by one projected-gradient minimizer for every
+loss and certified by the vertex gap ``theta . g - min_j g_j`` with ``g``
+the exact risk gradient, which upper-bounds the suboptimality of a convex
+objective over the simplex.  For the hinge loss ``g`` is a subgradient
+that takes slope 1 at a zero margin, so the gap stays a true bound.  The
+reference rate curves for both aggregation problems are also provided
+here.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .losses import LabeledSample, LossSpec, PHI_HINGE, PHI_KINDS, check_labels, grad_coef, loss_values
+from .losses import LabeledSample, LossSpec, PHI_HINGE, check_labels, grad_coef, loss_values
 from .simplex import Dictionary, uniform_weights, validate_weights
 
 __all__ = [
@@ -68,10 +70,6 @@ class FiniteDistribution:
         object.__setattr__(self, "atoms", atoms)
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        return np.asarray([z.x for z, _ in self.atoms])
-
-    @cached_property
     def ys(self) -> np.ndarray:
         return np.asarray([z.y for z, _ in self.atoms], dtype=float)
 
@@ -81,12 +79,7 @@ class FiniteDistribution:
 
     def validate_for(self, spec: LossSpec) -> None:
         """Check every atom is legal under ``spec`` (labels, bounds)."""
-        if spec.kind in PHI_KINDS:
-            check_labels(spec.kind, self.ys)
-        elif np.max(np.abs(self.ys)) > spec.y_bound:
-            raise ValueError(
-                f"labels exceed declared y_bound {spec.y_bound!r}: max |y| = {np.max(np.abs(self.ys))!r}"
-            )
+        check_labels(spec, self.ys)
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -202,18 +195,12 @@ def _risk_closures(design, kind, dist):
     def risk(theta):
         return float(ps @ loss_values(kind, ys, design @ theta))
 
-    if kind == PHI_HINGE:
-
-        def grad(theta):
-            margins = 1.0 - ys * (design @ theta)
-            active = (margins > 0.0).astype(float)
-            return design.T @ (ps * active * (-ys))
-
-    else:
-
-        def grad(theta):
-            mix = design @ theta
-            return design.T @ (ps * grad_coef(kind, ys, mix))
+    def grad(theta):
+        mix = design @ theta
+        if kind == PHI_HINGE:
+            # subgradient: slope 1 wherever the margin 1 - y f is exactly zero
+            return design.T @ (ps * (ys * mix <= 1.0) * -ys)
+        return design.T @ (ps * grad_coef(kind, ys, mix))
 
     return risk, grad
 
@@ -233,13 +220,15 @@ def _vertex_gap(theta: np.ndarray, g: np.ndarray) -> float:
     return float(theta @ g - g.min())
 
 
-def _minimize_smooth(risk, grad, m, tol, max_iter):
+def _minimize(risk, grad, m, tol, max_iter):
     """Accelerated projected gradient with backtracking and restarts.
 
     Acceleration is dropped after an initial phase: the momentum steps
     make early progress but oscillate near the optimum, while plain
     backtracked projected-gradient steps are monotone and let the vertex
-    gap settle below the certification tolerance.
+    gap settle below the certification tolerance.  ``grad`` may be a
+    subgradient (hinge): the steps are then only a heuristic, and the
+    vertex gap alone decides success.
     """
     accel_phase = min(2000, max_iter)
     theta = uniform_weights(m)
@@ -284,38 +273,6 @@ def _minimize_smooth(risk, grad, m, tol, max_iter):
     return None, (best_theta, best_f, best_gap)
 
 
-def _minimize_hinge(risk, grad, m, tol, max_iter):
-    """Multiplicative-weights subgradient descent with escalating steps.
-
-    On [-1, 1]-valued dictionaries the hinge risk is affine over the
-    simplex, so the subgradient is constant and escalating steps drive the
-    weights onto the minimizing vertex set geometrically.
-    """
-    theta = uniform_weights(m)
-    best_theta, best_f, best_gap = theta, risk(theta), math.inf
-    step = 1.0
-    for _ in range(max_iter):
-        g = grad(theta)
-        gap = _vertex_gap(theta, g)
-        f = risk(theta)
-        if f < best_f:
-            best_theta, best_f, best_gap = theta, f, gap
-        if gap <= tol:
-            return theta, gap
-        shifted = (g - g.min()) * step
-        with np.errstate(under="ignore"):
-            w = theta * np.exp(-shifted)
-        total = w.sum()
-        if total <= 0.0:
-            w = np.where(shifted == shifted.min(), 1.0, 0.0)
-            total = w.sum()
-        theta = w / total
-        step *= 2.0
-        if step > 1e300:
-            step = 1e300
-    return None, (best_theta, best_f, best_gap)
-
-
 def c_oracle(
     dictionary: Dictionary,
     spec: LossSpec,
@@ -325,10 +282,12 @@ def c_oracle(
 ) -> RiskReport:
     """Infimum of the exact risk over all dictionary mixtures.
 
-    Minimizes ``theta -> R(f_theta)`` over the simplex and certifies the
-    result with the vertex gap at the exact risk gradient; on success the
-    certificate is at most ``tol``.  Failure to certify within the
-    iteration cap raises ``ConvergenceError`` carrying the best iterate.
+    Minimizes ``theta -> R(f_theta)`` over the simplex with one
+    projected-gradient solver for every loss and certifies the result with
+    the vertex gap at the exact risk gradient (for the hinge loss, the
+    subgradient with slope 1 at a zero margin); on success the certificate
+    is at most ``tol``.  Failure to certify within ``max_iter`` iterations,
+    whatever the loss, raises ``ConvergenceError`` carrying the best iterate.
     """
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -337,11 +296,7 @@ def c_oracle(
     dist.validate_for(spec)
     design = atom_design(dictionary, dist)
     risk, grad = _risk_closures(design, spec.kind, dist)
-    m = dictionary.size
-    if spec.kind == PHI_HINGE:
-        theta, result = _minimize_hinge(risk, grad, m, tol, max_iter)
-    else:
-        theta, result = _minimize_smooth(risk, grad, m, tol, max_iter)
+    theta, result = _minimize(risk, grad, dictionary.size, tol, max_iter)
     if theta is None:
         best_theta, best_f, best_gap = result
         raise ConvergenceError(

@@ -18,6 +18,7 @@ from mirroragg import (
     optimal_rate,
     uniform_weights,
 )
+from mirroragg.experiments import GeneratorSpec, generate_instance
 
 
 def atom(x, y, p):
@@ -267,3 +268,43 @@ class TestSelectorAgainstOracle:
             value = exact_risk(uniform_weights(4), dic, spec, dist)
             assert value >= c_oracle(dic, spec, dist).risk_value - 1e-10
             assert value <= max(exact_risk(j, dic, spec, dist) for j in range(4)) + 1e-12
+
+
+class TestHingeConvexOracle:
+    """One projected-gradient solver serves the hinge loss through its subgradient."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    @pytest.mark.parametrize("m", [2, 4, 8, 32])
+    def test_equals_selection_oracle_exactly_on_unit_range(self, kappa, m):
+        # the hinge risk is affine on the simplex here, so the infimum is the best vertex
+        spec = LossSpec("phi_hinge")
+        genspec = GeneratorSpec("margin_classification", margin_exponent=kappa)
+        for seed in range(4):
+            dist, dic = generate_instance(genspec, m, seed)
+            convex = c_oracle(dic, spec, dist)
+            assert convex.risk_value == ms_oracle(dic, spec, dist).risk_value
+            assert convex.gap_certificate <= 1e-8
+
+    def test_certifies_a_minimizer_off_the_vertices(self):
+        # arms at +2 and -2; each vertex pays 3 on half the mass, the even mixture predicts 0
+        dic = TabularDictionary(np.array([[2.0], [-2.0]]), range_bound=2.0)
+        dist = FiniteDistribution([atom(0, 1.0, 0.5), atom(0, -1.0, 0.5)])
+        spec = LossSpec("phi_hinge")
+        convex = c_oracle(dic, spec, dist)
+        assert ms_oracle(dic, spec, dist).risk_value == 1.5
+        assert convex.risk_value == 1.0
+        assert_allclose(convex.minimizer, [0.5, 0.5])
+        assert convex.gap_certificate == 0.0
+
+    def test_certifies_a_vertex_minimizer_beyond_the_unit_range(self):
+        # arm 0 reaches 2 at point 0 and has margin exactly 0 at point 1; any
+        # weight on arm 1 raises the loss at point 1, so e_0 is the only minimizer
+        dic = TabularDictionary(np.array([[2.0, 1.0, 0.0], [0.5, -1.0, 0.0]]), range_bound=2.0)
+        dist = FiniteDistribution([atom(0, 1.0, 0.4), atom(1, 1.0, 0.4), atom(2, -1.0, 0.2)])
+        spec = LossSpec("phi_hinge")
+        convex = c_oracle(dic, spec, dist)
+        selection = ms_oracle(dic, spec, dist)
+        assert selection.minimizer == 0
+        assert convex.risk_value == selection.risk_value == pytest.approx(0.2, abs=1e-15)
+        assert_allclose(convex.minimizer, [1.0, 0.0], atol=1e-12)
+        assert convex.gap_certificate <= 1e-8

@@ -3,7 +3,8 @@
 ``ma_run``, ``lma_run`` and ``erm_select`` evaluate the dictionary once
 per distinct observation and hand the kernels an index row into that
 table.  These tests pin that the folded form gives the same weights, bit
-for bit, as the kernels fed one table row per observation.
+for bit, as the kernels fed one table row per observation, and that the
+runs reject every label a distribution would reject.
 """
 
 import math
@@ -20,6 +21,8 @@ from mirroragg import (
     erm_select,
     linearized_loss_vector,
     lma_run,
+    loss_gradient_theta,
+    loss_value,
     ma_run,
 )
 from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
@@ -177,3 +180,30 @@ def test_schedule_arrays_are_the_per_step_values():
     betas, gammas = Schedule.sqrt_growth(0.5, 0.25).arrays(5)
     assert betas.tolist() == [0.5 * math.sqrt(i) for i in range(1, 6)]
     assert gammas.tolist() == [0.25] * 5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
+def test_squared_labels_a_distribution_would_reject_raise(bad):
+    spec = LossSpec("squared", y_bound=1.0)
+    data = [LabeledSample(0, 0.5), LabeledSample(1, bad), LabeledSample(0, 0.5)]
+    dictionary = TabularDictionary(np.array([[0.5, -0.5], [0.25, 0.75]]))
+    runs = [
+        lambda: ma_run(data, spec, dictionary, SCHEDULE),
+        lambda: lma_run(data, spec, dictionary, BETA),
+        lambda: erm_select(data, spec, dictionary),
+        lambda: loss_value(spec, data[1], 0.5),
+        lambda: loss_gradient_theta(spec, dictionary, data[1], [0.5, 0.5]),
+        lambda: linearized_loss_vector(spec, dictionary, data[1]),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="labels exceed declared y_bound 1.0"):
+            run()
+
+
+def test_squared_labels_on_the_declared_bound_are_accepted():
+    spec = LossSpec("squared", y_bound=2.0)
+    data = [LabeledSample(0, 2.0), LabeledSample(1, -2.0)]
+    dictionary = TabularDictionary(np.array([[0.5, -0.5], [0.25, 0.75]]))
+    theta, _ = lma_run(data, spec, dictionary, BETA)
+    assert np.isfinite(theta).all()
+    assert loss_value(spec, data[0], 0.5) == 2.25
