@@ -63,7 +63,7 @@ from .losses import (  # noqa: F401
     loss_gradient_theta,
     loss_values,
 )
-from .simplex import Dictionary, gibbs_map, mixture_value, renormalize, softmin, uniform_weights
+from .simplex import Dictionary, gibbs_map, mixture_value, renormalize, require_positive, softmin, uniform_weights
 
 __all__ = [
     "Schedule",
@@ -94,8 +94,8 @@ class Schedule:
     @staticmethod
     def constant(beta: float, gamma: float = 1.0) -> "Schedule":
         """Constant temperature and step size."""
-        _require_positive("beta", beta)
-        _require_positive("gamma", gamma)
+        require_positive("beta", beta)
+        require_positive("gamma", gamma)
         return Schedule(lambda i: beta, lambda i: gamma)
 
     @staticmethod
@@ -106,8 +106,8 @@ class Schedule:
         ``beta0 = sqrt(Qstar / log M)`` it balances the entropy and
         gradient-noise terms of the excess-risk envelope.
         """
-        _require_positive("beta0", beta0)
-        _require_positive("gamma", gamma)
+        require_positive("beta0", beta0)
+        require_positive("gamma", gamma)
         return Schedule(lambda i: beta0 * math.sqrt(i), lambda i: gamma)
 
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,14 +118,9 @@ class Schedule:
         if not ok.all():
             # the first bad step, its beta reported before its gamma
             i = int(np.argmin(ok))
-            _require_positive(f"beta_at({i + 1})", betas[i])
-            _require_positive(f"gamma_at({i + 1})", gammas[i])
+            require_positive(f"beta_at({i + 1})", betas[i])
+            require_positive(f"gamma_at({i + 1})", gammas[i])
         return betas, gammas
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -182,8 +177,8 @@ def ma_step(
     i = state.step + 1
     gamma = float(sched.gamma_at(i))
     beta = float(sched.beta_at(i))
-    _require_positive(f"gamma_at({i})", gamma)
-    _require_positive(f"beta_at({i})", beta)
+    require_positive(f"gamma_at({i})", gamma)
+    require_positive(f"beta_at({i})", beta)
     grad = loss_gradient_theta(spec, dictionary, z, state.mirrored)
     scores = state.scores + gamma * grad
     return AggregatorState(
@@ -310,8 +305,6 @@ def ma_run(
     Returns the averaged weights and the induced mixture predictor.
     Requires a differentiable loss and at least one observation.
     """
-    if len(data) == 0:
-        raise ValueError("need at least one observation")
     _require_mixture_size(dictionary.size)
     idx, design, ys = _sample_atoms(data, spec, dictionary)
     betas, gammas = sched.arrays(len(data))
@@ -330,7 +323,7 @@ def lma_run(
     Scores accumulate the per-function loss vectors; any loss kind is
     accepted, hinge included, because no derivative is taken.
     """
-    _require_positive("beta", beta)
+    require_positive("beta", beta)
     _require_mixture_size(dictionary.size)
     idx, design, ys = _sample_atoms(data, spec, dictionary)
     theta = lma_weights(idx, loss_values(spec.kind, ys[:, None], design), beta)[0]

@@ -285,10 +285,9 @@ def cmd_check_conditions(args) -> int:
     digest = config_digest(resolved)
 
     records = []
-    # the checkers reject out-of-range sizes and temperatures, which come from the config
+    # the checkers reject out-of-range sizes, temperatures and labels, which come from the config
     try:
         dist, dictionary = generate_instance(generator, m, seed)
-        dist.validate_for(spec)
         for beta in betas:
             moment = check_nice_loss(spec, dictionary, dist, beta, n=n, mc_outer=mc_outer, seed=seed)
             concavity = check_exp_map_concavity(spec, dictionary, dist, beta, trials=trials, seed=seed)

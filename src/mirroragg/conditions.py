@@ -31,7 +31,7 @@ import numpy as np
 from .aggregation import lma_weights
 from .losses import LossSpec, PHI_EXPONENTIAL, PHI_LOGIT2, loss_values, minimal_nice_beta
 from .oracles import FiniteDistribution, atom_design
-from .simplex import Dictionary, uniform_weights, validate_weights
+from .simplex import Dictionary, require_positive, uniform_weights, validate_weights
 
 __all__ = [
     "ConditionVerdict",
@@ -113,10 +113,8 @@ def check_nice_loss(
         raise ValueError(f"mc_outer must be at least 100, got {mc_outer}")
     if n < 1:
         raise ValueError(f"training size must be at least 1, got {n}")
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"temperature beta must be positive and finite, got {beta!r}")
-    dist.validate_for(spec)
-    design = atom_design(dictionary, dist)
+    require_positive("beta", beta)
+    design = atom_design(dictionary, spec, dist)
     # each replicate's last draw is its test observation
     idx = dist.replicate_indices((seed,), mc_outer, n + 1)
     test_idx = idx[:, n]
@@ -149,7 +147,7 @@ def surrogate_mixture_loss(spec: LossSpec, dictionary: Dictionary, dist: FiniteD
     concavity check must find violations whenever the per-function losses
     actually differ.
     """
-    design = atom_design(dictionary, dist)
+    design = atom_design(dictionary, spec, dist)
     per_function = loss_values(spec.kind, dist.ys[:, None], design)
 
     def batch_loss(thetas: np.ndarray) -> np.ndarray:
@@ -182,15 +180,13 @@ def check_exp_map_concavity(
     """
     if trials < 1000:
         raise ValueError(f"trials must be at least 1000, got {trials}")
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"temperature beta must be positive and finite, got {beta!r}")
-    dist.validate_for(spec)
+    require_positive("beta", beta)
+    design = atom_design(dictionary, spec, dist)
     m = dictionary.size
     if theta_ref is None:
         theta_ref = uniform_weights(m)
     theta_ref = validate_weights(theta_ref, size=m)
 
-    design = atom_design(dictionary, dist)
     if mixture_loss is None:
 
         def mixture_loss(thetas: np.ndarray) -> np.ndarray:

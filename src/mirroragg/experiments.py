@@ -4,8 +4,9 @@ A cell is one ``(sample size, dictionary size)`` point of a benchmark
 grid.  ``run_cell`` builds the instance for the cell, draws ``R``
 independent training samples from per-replicate seeded streams, runs the
 configured algorithms, and reports the mean excess risk of each against
-both oracles, together with the theoretical bound value for the
-algorithm's primary oracle:
+its own oracle only (the selector's is the selection oracle); a cell
+solves just the oracles its rows report.  The aggregation rows also
+carry the theoretical bound value:
 
 * linearized algorithm, selection oracle: ``beta * log(M) / (n + 1)``;
 * gradient algorithm, convex oracle: ``2 * sqrt(Qstar * log(M) / n)``.
@@ -37,7 +38,7 @@ from .losses import (
     loss_values,
 )
 from .oracles import FiniteDistribution, atom_design, c_oracle, column_risks, ms_oracle
-from .simplex import TabularDictionary
+from .simplex import TabularDictionary, require_positive
 
 __all__ = [
     "FAMILIES",
@@ -62,7 +63,8 @@ _FAMILY_CODES = {family: code for code, family in enumerate(FAMILIES, start=1)}
 # scales of the benchmark n grid.
 _PERTURBATION_AMPLITUDES = (0.35, 0.7)
 
-_ALGORITHMS = ("MA", "LMA", "ERM")
+# the oracle each algorithm's rows are measured against
+_ORACLE_OF = {"MA": "C", "LMA": "MS", "ERM": "MS"}
 
 
 @dataclass(frozen=True)
@@ -226,17 +228,17 @@ class ExperimentConfig:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
-        unknown = [a for a in self.algorithms if a not in _ALGORITHMS]
+        unknown = [a for a in self.algorithms if a not in _ORACLE_OF]
         if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; expected a subset of {_ALGORITHMS}")
+            raise ValueError(f"unknown algorithms {unknown}; expected a subset of {tuple(_ORACLE_OF)}")
         if "MA" in self.algorithms and not self.loss.differentiable:
             raise ValueError("the gradient algorithm requires a differentiable loss; drop MA or change loss")
         if "LMA" in self.algorithms and self.loss.kind == PHI_HINGE and not self.lma_betas:
             raise ValueError("no default temperature for phi_hinge; set lma_beta explicitly")
-        if any(not math.isfinite(b) or b <= 0.0 for b in self.lma_betas):
-            raise ValueError(f"lma_betas must be positive, got {self.lma_betas}")
-        if self.ma_beta0 is not None and (not math.isfinite(self.ma_beta0) or self.ma_beta0 <= 0.0):
-            raise ValueError(f"ma_beta0 must be positive, got {self.ma_beta0!r}")
+        for beta in self.lma_betas:
+            require_positive("lma_betas", beta)
+        if self.ma_beta0 is not None:
+            require_positive("ma_beta0", self.ma_beta0)
         if self.ma_schedule not in ("sqrt_growth", "constant"):
             raise ValueError(f"ma_schedule must be 'sqrt_growth' or 'constant', got {self.ma_schedule!r}")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
@@ -281,17 +283,20 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     Returns one row per algorithm, in configuration order.  Each row
     measures excess against the algorithm's natural oracle: selection
     oracle for the linearized algorithm and the selector, convex oracle
-    for the gradient algorithm.  The theoretical bound is attached where
-    one applies (both aggregation algorithms, not the selector).
+    for the gradient algorithm, and only those oracles are solved.  The
+    theoretical bound is attached where one applies (both aggregation
+    algorithms, not the selector).
     """
     loss = config.loss
     dist, dictionary = generate_instance(config.generator, m, config.master_seed)
-    dist.validate_for(loss)
-    ms = ms_oracle(dictionary, loss, dist)
-    convex = c_oracle(dictionary, loss, dist)
-    oracle_values = {"MS": ms.risk_value, "C": convex.risk_value}
+    reported = {_ORACLE_OF[algorithm] for algorithm in config.algorithms}
+    oracle_values = {
+        okind: solve(dictionary, loss, dist).risk_value
+        for okind, solve in (("MS", ms_oracle), ("C", c_oracle))
+        if okind in reported
+    }
 
-    design = atom_design(dictionary, dist)
+    design = atom_design(dictionary, loss, dist)
     kind = loss.kind
     check_margin_range(kind, design)
     losses = loss_values(kind, dist.ys[:, None], design)
@@ -328,12 +333,13 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
         )
 
     for algorithm in config.algorithms:
+        okind = _ORACLE_OF[algorithm]
         if algorithm == "LMA":
             betas = config.lma_betas or default_lma_betas(loss, dictionary.range_bound)
             for beta in betas:
                 achieved = mixture_risks(lma_weights(idx, losses, beta))
                 label = "LMA" if len(betas) == 1 else f"LMA@{beta:.6g}"
-                emit(label, achieved, "MS", beta * log_m / (n + 1))
+                emit(label, achieved, okind, beta * log_m / (n + 1))
         elif algorithm == "MA":
             qstar = gradient_second_moment_bound(loss, dictionary.range_bound)
             beta0 = config.ma_beta0 if config.ma_beta0 is not None else math.sqrt(qstar / log_m)
@@ -343,11 +349,11 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
                 schedule = Schedule.constant(beta0)
             betas_t, gammas_t = schedule.arrays(n)
             achieved = mixture_risks(ma_weights(idx, design, dist.ys, kind, betas_t, gammas_t))
-            emit("MA", achieved, "C", 2.0 * math.sqrt(qstar * log_m / n))
+            emit("MA", achieved, okind, 2.0 * math.sqrt(qstar * log_m / n))
         else:
             vertex_risks = np.array(column_risks(kind, dist, design.T))
             selected = np.argmin(erm_totals(idx, losses), axis=1)
-            emit("ERM", vertex_risks[selected], "MS", None)
+            emit("ERM", vertex_risks[selected], okind, None)
 
     return rows
 

@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .simplex import Dictionary, validate_weights
+from .simplex import Dictionary, require_positive, validate_weights
 
 __all__ = [
     "SQUARED",
@@ -74,8 +74,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if not math.isfinite(self.y_bound) or self.y_bound <= 0.0:
-            raise ValueError(f"y_bound must be a positive finite number, got {self.y_bound!r}")
+        require_positive("y_bound", self.y_bound)
 
     @property
     def differentiable(self) -> bool:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .losses import LabeledSample, LossSpec, PHI_HINGE, check_labels, grad_coef, loss_values
-from .simplex import Dictionary, uniform_weights, validate_weights
+from .simplex import Dictionary, require_positive, uniform_weights, validate_weights
 
 __all__ = [
     "FiniteDistribution",
@@ -61,8 +61,7 @@ class FiniteDistribution:
         for z, p in atoms:
             if not isinstance(z, LabeledSample):
                 raise ValueError(f"atom {z!r} is not a LabeledSample")
-            if not math.isfinite(p) or p <= 0.0:
-                raise ValueError(f"atom probabilities must be positive, got {p!r}")
+            require_positive("atom probability", p)
             if not math.isfinite(z.y):
                 raise ValueError(f"atom label must be finite, got {z.y!r}")
         if abs(total - 1.0) > PROB_ATOL:
@@ -140,8 +139,9 @@ class ConvergenceError(RuntimeError):
         self.gap = gap
 
 
-def atom_design(dictionary: Dictionary, dist: FiniteDistribution) -> np.ndarray:
-    """Matrix ``F[a, j] = f_j(x_a)`` over the atoms of ``dist``."""
+def atom_design(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> np.ndarray:
+    """Matrix ``F[a, j] = f_j(x_a)`` over the atoms of ``dist``, once their labels pass ``spec``'s rule."""
+    dist.validate_for(spec)
     return np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z, _ in dist.atoms])
 
 
@@ -164,15 +164,14 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
     the mixture.  The expectation over atoms uses compensated summation,
     so the result is exact up to one floating rounding.
     """
-    dist.validate_for(spec)
     if isinstance(theta_or_index, (int, np.integer)):
+        dist.validate_for(spec)
         j = int(theta_or_index)
         if not 0 <= j < dictionary.size:
             raise ValueError(f"function index {j} outside dictionary of size {dictionary.size}")
         values = np.asarray([dictionary.evaluate(j, z.x) for z, _ in dist.atoms], dtype=float)
     else:
-        theta = validate_weights(theta_or_index, size=dictionary.size)
-        values = atom_design(dictionary, dist) @ theta
+        values = atom_design(dictionary, spec, dist) @ validate_weights(theta_or_index, size=dictionary.size)
     return column_risks(spec.kind, dist, [values])[0]
 
 
@@ -181,8 +180,7 @@ def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) 
 
     Ties break to the lowest index.
     """
-    dist.validate_for(spec)
-    risks = column_risks(spec.kind, dist, atom_design(dictionary, dist).T)
+    risks = column_risks(spec.kind, dist, atom_design(dictionary, spec, dist).T)
     j = int(np.argmin(risks))
     return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0)
 
@@ -228,7 +226,8 @@ def _minimize(risk, grad, m, tol, max_iter):
     backtracked projected-gradient steps are monotone and let the vertex
     gap settle below the certification tolerance.  ``grad`` may be a
     subgradient (hinge): the steps are then only a heuristic, and the
-    vertex gap alone decides success.
+    vertex gap alone decides success.  Returns ``(theta, gap)`` once
+    ``gap <= tol``, else raises ``ConvergenceError`` with the best iterate.
     """
     accel_phase = min(2000, max_iter)
     theta = uniform_weights(m)
@@ -270,7 +269,13 @@ def _minimize(risk, grad, m, tol, max_iter):
         if it % 50 == 49:
             # let oversized curvature estimates relax between backtracks
             lips = max(lips * 0.5, 1e-12)
-    return None, (best_theta, best_f, best_gap)
+    raise ConvergenceError(
+        f"convex oracle failed to certify gap <= {tol:g} within {max_iter} iterations "
+        f"(best certified gap {best_gap:g})",
+        best_weights=best_theta,
+        best_risk=best_f,
+        gap=best_gap,
+    )
 
 
 def c_oracle(
@@ -289,29 +294,17 @@ def c_oracle(
     is at most ``tol``.  Failure to certify within ``max_iter`` iterations,
     whatever the loss, raises ``ConvergenceError`` carrying the best iterate.
     """
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    require_positive("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    dist.validate_for(spec)
-    design = atom_design(dictionary, dist)
+    design = atom_design(dictionary, spec, dist)
     risk, grad = _risk_closures(design, spec.kind, dist)
-    theta, result = _minimize(risk, grad, dictionary.size, tol, max_iter)
-    if theta is None:
-        best_theta, best_f, best_gap = result
-        raise ConvergenceError(
-            f"convex oracle failed to certify gap <= {tol:g} within {max_iter} iterations "
-            f"(best certified gap {best_gap:g})",
-            best_weights=best_theta,
-            best_risk=best_f,
-            gap=best_gap,
-        )
-    gap = result
+    theta, gap = _minimize(risk, grad, dictionary.size, tol, max_iter)
     return RiskReport(
         risk_value=column_risks(spec.kind, dist, [design @ theta])[0],
         oracle_kind="C",
         minimizer=theta,
-        gap_certificate=float(gap),
+        gap_certificate=gap,
     )
 
 

@@ -8,9 +8,12 @@ mixtures of dictionary functions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
+    "require_positive",
     "uniform_weights",
     "validate_weights",
     "renormalize",
@@ -23,6 +26,12 @@ __all__ = [
 ]
 
 SIMPLEX_ATOL = 1e-12
+
+
+def require_positive(name: str, value: float) -> None:
+    """Reject a ``value`` that is not a positive finite number, naming it ``name``."""
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def uniform_weights(m: int) -> np.ndarray:
@@ -99,8 +108,7 @@ def gibbs_map(scores, beta: float) -> np.ndarray:
     numpy.ndarray
         Probability vector of the same length as ``scores``.
     """
-    if not np.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"temperature beta must be a positive finite number, got {beta!r}")
+    require_positive("beta", beta)
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise ValueError(f"scores must be a nonempty 1-d vector, got shape {arr.shape}")

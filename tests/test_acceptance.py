@@ -194,7 +194,7 @@ def _grid_weights(m, step=1000):
 
 
 def _grid_min_risk(spec, dictionary, dist, grid):
-    design = atom_design(dictionary, dist)
+    design = atom_design(dictionary, spec, dist)
     best = np.inf
     for lo in range(0, len(grid), 100_000):
         block = grid[lo : lo + 100_000]

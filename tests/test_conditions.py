@@ -172,6 +172,17 @@ class TestConcavityCheck:
         assert verdict.verdict == "violated"
         assert verdict.witness is not None
 
+    @pytest.mark.parametrize(
+        "spec, y, message",
+        [(EXPONENTIAL, 0.5, r"labels in \{-1, \+1\}"), (SQUARED, 3.0, "y_bound")],
+        ids=["margin_label_half", "squared_label_above_bound"],
+    )
+    def test_linear_surrogate_checks_labels_first(self, spec, y, message):
+        dictionary = TabularDictionary(np.zeros((2, 1)), range_bound=1.0)
+        dist = FiniteDistribution([atom(0, y, 1.0)])
+        with pytest.raises(ValueError, match=message):
+            surrogate_mixture_loss(spec, dictionary, dist)
+
     def test_reference_weights_and_trials_are_validated(self):
         dictionary = TabularDictionary(np.array([[1.0], [-1.0]]))
         dist = FiniteDistribution([atom(0, 1.0, 1.0)])

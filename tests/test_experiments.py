@@ -174,6 +174,32 @@ class TestRunCell:
         excess_convex = achieved - convex.risk_value
         assert abs((excess_convex - lma_row.mean_excess) - (ms.risk_value - convex.risk_value)) <= 1e-12
 
+    def test_a_selection_only_cell_never_solves_the_convex_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("c_oracle called on an LMA/ERM-only cell")
+
+        monkeypatch.setattr(experiments, "c_oracle", refuse)
+        config = small_config(
+            generator=GeneratorSpec(family="margin_classification", grid_size=8),
+            loss=LossSpec("phi_hinge"),
+            algorithms=("LMA", "ERM"),
+            lma_betas=(2.0,),
+            n_grid=(16,),
+            m_grid=(4,),
+            replications=5,
+        )
+        rows = run_cell(config, 16, 4)
+        assert [(row.algorithm, row.oracle_kind) for row in rows] == [("LMA", "MS"), ("ERM", "MS")]
+
+    def test_a_gradient_only_cell_never_solves_the_selection_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ms_oracle called on an MA-only cell")
+
+        monkeypatch.setattr(experiments, "ms_oracle", refuse)
+        config = small_config(algorithms=("MA",), n_grid=(16,), m_grid=(4,), replications=5)
+        rows = run_cell(config, 16, 4)
+        assert [(row.algorithm, row.oracle_kind) for row in rows] == [("MA", "C")]
+
 
 class TestBatchEngines:
     @pytest.mark.parametrize("reps", [3, 9])
@@ -188,7 +214,7 @@ class TestBatchEngines:
         """
         spec = GeneratorSpec(family="bounded_regression", grid_size=8, noise_level=0.25)
         dist, dictionary = generate_instance(spec, m=5, seed=13)
-        design = atom_design(dictionary, dist)
+        design = atom_design(dictionary, SQUARED, dist)
         losses = loss_values("squared", dist.ys[:, None], design)
         idx = dist.replicate_indices((13, 17, 5), reps, 17)
         beta = 3.0
@@ -222,7 +248,7 @@ class TestBatchEngines:
         """
         spec = GeneratorSpec(family="bounded_regression", grid_size=8, noise_level=0.25)
         dist, dictionary = generate_instance(spec, m=m, seed=21)
-        design = atom_design(dictionary, dist)
+        design = atom_design(dictionary, SQUARED, dist)
         losses = loss_values("squared", dist.ys[:, None], design)
         idx = dist.replicate_indices((21, 40, m), 9, 40)
         alone = idx[4:5]

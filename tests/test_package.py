@@ -25,6 +25,22 @@ def test_no_private_name_is_imported_across_modules():
     assert offenders == []
 
 
+def test_only_oracles_validates_a_distribution_for_a_loss():
+    """Every other module takes its labelled table from ``oracles.atom_design``."""
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "validate_for"
+        ]
+    assert offenders == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import mirroragg.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from mirroragg import (
     uniform_weights,
     validate_weights,
 )
+from mirroragg.simplex import require_positive
 
 
 class TestGibbsMap:
@@ -56,6 +59,14 @@ class TestGibbsMap:
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_temperature_rejected(self, beta):
         with pytest.raises(ValueError):
+            gibbs_map(np.zeros(2), beta)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_temperature_message_is_the_one_positivity_rule(self, beta):
+        expected = rf"^beta must be positive and finite, got {re.escape(repr(beta))}$"
+        with pytest.raises(ValueError, match=expected):
+            require_positive("beta", beta)
+        with pytest.raises(ValueError, match=expected):
             gibbs_map(np.zeros(2), beta)
 
     def test_nonfinite_scores_rejected(self):
