@@ -16,9 +16,9 @@ from the margin-loss criterion ``(phi')^2 <= beta * phi''``
 (``nice_beta_report``).
 
 Verdicts follow one convention: "satisfied" needs the estimate plus two
-standard errors at or below zero (or zero secant violations for the
-concavity check), "violated" needs the opposite with the same margin, and
-anything else is "inconclusive".
+standard errors at or below zero (for the concavity check: every secant
+slack finite and none failing), "violated" needs the opposite with the
+same margin (a finite failing slack), and anything else is "inconclusive".
 """
 
 from __future__ import annotations
@@ -173,6 +173,8 @@ def check_exp_map_concavity(
     slack for roundoff.  ``h`` is an exact finite sum over atoms, so the
     only randomness is the choice of pairs: any failing pair certifies
     non-concavity, and the first one found is returned as the witness.
+    When ``h`` overflows at some pair and no finite pair fails, the verdict
+    is "inconclusive".
 
     ``mixture_loss`` replaces the per-atom loss of the mixture predictor
     with an arbitrary batch map (used for the linear surrogate control);
@@ -206,16 +208,21 @@ def check_exp_map_concavity(
     h_first = h(first)
     h_second = h(second)
     h_mid = h(0.5 * (first + second))
-    slack = h_mid - 0.5 * (h_first + h_second)
+    with np.errstate(invalid="ignore"):
+        slack = h_mid - 0.5 * (h_first + h_second)
     worst = int(np.argmin(slack))
-    violations = slack < -SECANT_SLACK
+    # an overflowed h gives an infinite or nan slack, which certifies nothing
+    finite = np.isfinite(slack)
+    violations = finite & (slack < -SECANT_SLACK)
+    witness = None
     if violations.any():
         witness_idx = int(np.argmax(violations))
         verdict = VIOLATED
         witness = (first[witness_idx].copy(), second[witness_idx].copy())
-    else:
+    elif finite.all():
         verdict = SATISFIED
-        witness = None
+    else:
+        verdict = INCONCLUSIVE
     return ConditionVerdict(
         estimate=float(slack[worst]),
         std_error=0.0,

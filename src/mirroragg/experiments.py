@@ -297,6 +297,10 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     }
 
     design = atom_design(dictionary, loss, dist)
+    # past the tabulation the cell needs only the range bound; releasing the
+    # dictionary's values lowers the peak while the kernels build their tables
+    range_bound = dictionary.range_bound
+    del dictionary
     kind = loss.kind
     check_margin_range(kind, design)
     losses = loss_values(kind, dist.ys[:, None], design)
@@ -335,13 +339,13 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     for algorithm in config.algorithms:
         okind = _ORACLE_OF[algorithm]
         if algorithm == "LMA":
-            betas = config.lma_betas or default_lma_betas(loss, dictionary.range_bound)
+            betas = config.lma_betas or default_lma_betas(loss, range_bound)
             for beta in betas:
                 achieved = mixture_risks(lma_weights(idx, losses, beta))
                 label = "LMA" if len(betas) == 1 else f"LMA@{beta:.6g}"
                 emit(label, achieved, okind, beta * log_m / (n + 1))
         elif algorithm == "MA":
-            qstar = gradient_second_moment_bound(loss, dictionary.range_bound)
+            qstar = gradient_second_moment_bound(loss, range_bound)
             beta0 = config.ma_beta0 if config.ma_beta0 is not None else math.sqrt(qstar / log_m)
             if config.ma_schedule == "sqrt_growth":
                 schedule = Schedule.sqrt_growth(beta0)

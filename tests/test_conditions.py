@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mirroragg import (
     TabularDictionary,
     check_exp_map_concavity,
     check_nice_loss,
+    exact_risk,
     generate_instance,
     nice_beta_report,
     surrogate_mixture_loss,
@@ -150,6 +152,22 @@ class TestConcavityCheck:
         assert a.shape == (2,) and b.shape == (2,)
         assert abs(a.sum() - 1.0) < 1e-9 and abs(b.sum() - 1.0) < 1e-9
         assert h(0.5 * (a + b)) < 0.5 * (h(a) + h(b))
+
+    def test_an_overflowing_map_is_never_satisfied(self):
+        """At beta = 1e-3 the map overflows: inf - inf is a nan slack, which proves nothing.
+
+        The reference is the vertex of the arm with the largest exact risk,
+        so almost every pair's exponent runs past 709.
+        """
+        dist, dictionary = generate_instance(GeneratorSpec("phi_classification", grid_size=8), 6, 1)
+        risks = [exact_risk(j, dictionary, EXPONENTIAL, dist) for j in range(6)]
+        theta_ref = np.eye(6)[int(np.argmax(risks))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = check_exp_map_concavity(EXPONENTIAL, dictionary, dist, 1e-3, theta_ref=theta_ref, trials=1000, seed=1)
+        assert verdict.verdict == "inconclusive"
+        assert verdict.witness is None
+        assert not math.isfinite(verdict.estimate)
 
     def test_identical_arms_make_the_map_constant(self):
         values = np.array([[0.2, -0.6], [0.2, -0.6]])

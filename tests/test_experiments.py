@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +200,31 @@ class TestRunCell:
         config = small_config(algorithms=("MA",), n_grid=(16,), m_grid=(4,), replications=5)
         rows = run_cell(config, 16, 4)
         assert [(row.algorithm, row.oracle_kind) for row in rows] == [("MA", "C")]
+
+    def test_the_kernels_run_after_the_dictionary_is_released(self, monkeypatch):
+        """Past the tabulation a cell keeps only the range bound.
+
+        The kernels' tables then never sit in memory beside the dictionary's.
+        """
+        made = []
+
+        def recording_instance(*args):
+            dist, dictionary = generate_instance(*args)
+            made.append(weakref.ref(dictionary))
+            return dist, dictionary
+
+        def released(kernel):
+            def run(*args):
+                assert made and made[0]() is None, f"{kernel.__name__} ran while the dictionary was alive"
+                return kernel(*args)
+
+            return run
+
+        monkeypatch.setattr(experiments, "generate_instance", recording_instance)
+        for kernel in (lma_weights, ma_weights, erm_totals):
+            monkeypatch.setattr(experiments, kernel.__name__, released(kernel))
+        rows = run_cell(small_config(n_grid=(16,), m_grid=(4,), replications=5), 16, 4)
+        assert [row.algorithm for row in rows] == ["LMA", "MA", "ERM"]
 
 
 class TestBatchEngines:

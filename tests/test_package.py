@@ -1,12 +1,16 @@
-"""Package-wide rules: module boundaries, runtime dependencies and the benchmark tracer's names."""
+"""Package-wide rules: module boundaries, runtime dependencies, kernel signatures and the benchmark tracer's names."""
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mirroragg
+from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
 
 SOURCE = Path(mirroragg.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,6 +43,20 @@ def test_only_oracles_validates_a_distribution_for_a_loss():
             and node.func.attr == "validate_for"
         ]
     assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "kernel, parameters",
+    [
+        (lma_weights, ["idx", "losses", "beta"]),
+        (ma_weights, ["idx", "design", "ys", "kind", "betas", "gammas"]),
+        (erm_totals, ["idx", "losses"]),
+    ],
+    ids=["lma_weights", "ma_weights", "erm_totals"],
+)
+def test_the_batch_kernels_take_no_tuning_parameter(kernel, parameters):
+    """Block sizes, re-anchor periods and layouts come from the inputs, never from a knob."""
+    assert list(inspect.signature(kernel).parameters) == parameters
 
 
 def test_importing_the_cli_loads_no_scipy():
