@@ -4,18 +4,21 @@ Two algorithms share one recursion shape.  Both maintain a score vector
 ``zeta`` in the dual space, mirror it into the simplex with the Gibbs map,
 and output the step-weighted average of the mirrored weights:
 
-* ``ma_run`` (gradient form): step ``i`` adds ``gamma_i`` times the
-  simplex gradient of the loss at the previous mirrored point, then
-  mirrors at temperature ``beta_i``.
+* ``ma_run`` (gradient form): step ``i`` adds the simplex gradient of
+  the loss at the previous mirrored point, then mirrors at temperature
+  ``beta_i``.
 * ``lma_run`` (linearized form): step ``i`` adds the vector of
-  per-function losses, with unit steps and a constant temperature.  This
-  equals the gradient form applied to the linear surrogate risk
+  per-function losses, at a constant temperature.  This equals the
+  gradient form applied to the linear surrogate risk
   ``theta -> theta . u(z)``.
 
-The averaged output uses the mirrored weights from *before* each update:
-step ``i`` contributes ``theta_bar_{i-1}``.  Getting this off by one
-changes nothing per-step but silently degrades the aggregation rate, so
-the hand-traced tests pin it.
+Both take unit steps, and the averaged output is the plain mean of the
+mirrored weights from *before* each update: step ``i`` contributes
+``theta_bar_{i-1}``.  Getting this off by one changes nothing per-step but
+silently degrades the aggregation rate, so the hand-traced tests pin it.
+A constant step size ``c`` would only rescale the temperature: it
+multiplies the scores by ``c``, which is the same as dividing every
+``beta_i`` by ``c``, and a constant-weight average is the plain mean.
 
 Each recursion runs in one batch kernel over an ``(R, n)`` array of atom
 indices, one replicate per row: ``ma_weights`` on the atom design values
@@ -34,10 +37,11 @@ row ``exp((min_j L[a, j] - L[a]) / beta)``, renormalised (the
 exponential-weights update).  ``lma_weights`` builds this factor table
 once per call, one row per atom, so a step is a gather, a multiply, a row
 sum and a divide.  Every ``K`` steps it re-anchors instead: it adds the
-block's loss rows to the scores in step order and runs one exact softmin.
-The scores, and the weights at every re-anchor, are then those of an exact
-softmin at every step, bit for bit, and a row never depends on the
-replicates beside it.
+block's loss rows less their minima ``min_j L[a, j]`` to the scores in
+step order and runs one exact softmin, which a per-row shift leaves as it
+is.  The weights at every re-anchor are then those of an exact softmin at
+every step, bit for bit, a row never depends on the replicates beside it,
+and the scores round at the size of the rows' spread, not of their offset.
 
 ``K`` is read off the table.  Let ``D`` be the largest per-atom spread
 ``max_j L[a, j] - min_j L[a, j]``.  One step moves the log of a weight
@@ -118,59 +122,53 @@ _RECOVERY_EXPONENT = 600.0
 
 @dataclass(frozen=True)
 class Schedule:
-    """Step sizes ``gamma_i`` and temperatures ``beta_i`` for ``i >= 1``.
+    """Temperatures ``beta_i`` for the unit steps ``i >= 1`` of MA.
 
-    Both callables must return positive finite values for every step.
+    ``beta_at`` must return a positive finite value for every step.  A
+    constant step size would only rescale it (see the module docstring).
     """
 
     beta_at: Callable[[int], float]
-    gamma_at: Callable[[int], float]
 
     @staticmethod
-    def constant(beta: float, gamma: float = 1.0) -> "Schedule":
-        """Constant temperature and step size."""
+    def constant(beta: float) -> "Schedule":
+        """Constant temperature."""
         require_positive("beta", beta)
-        require_positive("gamma", gamma)
-        return Schedule(lambda i: beta, lambda i: gamma)
+        return Schedule(lambda i: beta)
 
     @staticmethod
-    def sqrt_growth(beta0: float, gamma: float = 1.0) -> "Schedule":
-        """Unit-type steps with ``beta_i = beta0 * sqrt(i)``.
+    def sqrt_growth(beta0: float) -> "Schedule":
+        """Temperatures ``beta_i = beta0 * sqrt(i)``.
 
         The default choice for the gradient algorithm: with
         ``beta0 = sqrt(Qstar / log M)`` it balances the entropy and
         gradient-noise terms of the excess-risk envelope.
         """
         require_positive("beta0", beta0)
-        require_positive("gamma", gamma)
-        return Schedule(lambda i: beta0 * math.sqrt(i), lambda i: gamma)
+        return Schedule(lambda i: beta0 * math.sqrt(i))
 
-    def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Validated temperatures and step sizes ``(beta_i, gamma_i)`` for ``i = 1..n``."""
+    def betas(self, n: int) -> np.ndarray:
+        """Validated temperatures ``beta_i`` for ``i = 1..n``."""
         betas = np.array([float(self.beta_at(i)) for i in range(1, n + 1)])
-        gammas = np.array([float(self.gamma_at(i)) for i in range(1, n + 1)])
-        ok = (betas > 0.0) & (gammas > 0.0) & np.isfinite(betas) & np.isfinite(gammas)
+        ok = (betas > 0.0) & np.isfinite(betas)
         if not ok.all():
-            # the first bad step, its beta reported before its gamma
             i = int(np.argmin(ok))
             require_positive(f"beta_at({i + 1})", betas[i])
-            require_positive(f"gamma_at({i + 1})", gammas[i])
-        return betas, gammas
+        return betas
 
 
 @dataclass
 class AggregatorState:
-    """State of one aggregation run after ``step`` observations.
+    """State of one aggregation run after ``step`` unit steps.
 
-    ``weighted_sum`` accumulates ``gamma_i * theta_bar_{i-1}`` and sums to
-    ``gamma_total``, so the averaged output is ``weighted_sum / gamma_total``.
+    ``weighted_sum`` accumulates ``theta_bar_{i-1}`` over the steps, so the
+    averaged output is ``weighted_sum / step``.
     """
 
     step: int
     scores: np.ndarray
     mirrored: np.ndarray
     weighted_sum: np.ndarray
-    gamma_total: float
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,6 @@ def ma_init(m: int) -> AggregatorState:
         scores=np.zeros(m),
         mirrored=uniform_weights(m),
         weighted_sum=np.zeros(m),
-        gamma_total=0.0,
     )
 
 
@@ -210,24 +207,21 @@ def ma_step(
 ) -> AggregatorState:
     """One observation of the gradient-form recursion; returns a new state."""
     i = state.step + 1
-    gamma = float(sched.gamma_at(i))
     beta = float(sched.beta_at(i))
-    require_positive(f"gamma_at({i})", gamma)
     require_positive(f"beta_at({i})", beta)
     grad = loss_gradient_theta(spec, dictionary, z, state.mirrored)
-    scores = state.scores + gamma * grad
+    scores = state.scores + grad
     return AggregatorState(
         step=i,
         scores=scores,
         mirrored=gibbs_map(scores, beta),
-        weighted_sum=state.weighted_sum + gamma * state.mirrored,
-        gamma_total=state.gamma_total + gamma,
+        weighted_sum=state.weighted_sum + state.mirrored,
     )
 
 
 def averaged_weights(state: AggregatorState) -> np.ndarray:
-    """Averaged output ``weighted_sum / gamma_total``; undefined before step 1."""
-    if state.step < 1 or state.gamma_total <= 0.0:
+    """Averaged output ``weighted_sum / step``; undefined before step 1."""
+    if state.step < 1:
         raise ValueError("averaged output is undefined before the first step")
     return renormalize(state.weighted_sum)
 
@@ -244,12 +238,12 @@ def _arm_layout(reps: int, table: np.ndarray):
     return "C", lambda a: table.take(a, axis=0)
 
 
-def ma_weights(idx, design, ys, kind: str, betas, gammas) -> np.ndarray:
+def ma_weights(idx, design, ys, kind: str, betas) -> np.ndarray:
     """Averaged weights of the gradient algorithm, one row per replicate.
 
     Row ``r`` folds the observations ``(design[a], ys[a])`` for the atom
-    indices ``a`` in ``idx[r]``, in order, with temperature ``betas[t]``
-    and step size ``gammas[t]`` at step ``t + 1``.
+    indices ``a`` in ``idx[r]``, in order, with a unit step at temperature
+    ``betas[t]`` at step ``t + 1``.
     """
     reps, n = idx.shape
     m = design.shape[1]
@@ -258,17 +252,15 @@ def ma_weights(idx, design, ys, kind: str, betas, gammas) -> np.ndarray:
     mirrored = np.full((reps, m), 1.0 / m, order=order)
     total = np.zeros((reps, m), order=order)
     work = np.empty((reps, m), order=order)
-    gamma_total = 0.0
     for t in range(n):
         a = idx[:, t]
         f = gather(a)
         mix = np.multiply(mirrored, f, out=work).sum(axis=1, keepdims=True)
         coef = grad_coef(kind, ys.take(a)[:, None], mix)
-        total += np.multiply(gammas[t], mirrored, out=work)
-        gamma_total += gammas[t]
-        scores += np.multiply(gammas[t], np.multiply(coef, f, out=work), out=work)
+        total += mirrored
+        scores += np.multiply(coef, f, out=work)
         softmin(np.divide(scores, betas[t], out=mirrored), out=mirrored)
-    return np.ascontiguousarray(total / gamma_total)
+    return np.ascontiguousarray(total / n)
 
 
 def _reanchor_period(spread: float, beta: float) -> int:
@@ -290,8 +282,9 @@ def lma_weights(idx, losses, beta: float) -> np.ndarray:
     reps, n = idx.shape
     m = losses.shape[1]
     order, gather = _arm_layout(reps, losses)
+    rowmin = losses.min(axis=1)
     # the Gibbs factor table exp((rowmin L - L) / beta), built in place
-    factors = np.subtract(losses.min(axis=1, keepdims=True), losses)
+    factors = np.subtract(rowmin[:, None], losses)
     period = _reanchor_period(-float(factors.min()), beta)
     factors /= beta
     np.exp(factors, out=factors)
@@ -304,9 +297,9 @@ def lma_weights(idx, losses, beta: float) -> np.ndarray:
             mirrored *= gather_factors(idx[:, t - 1])
             mirrored /= mirrored.sum(axis=1, keepdims=True)
         else:
-            # the scores of the last block, added in step order, then one exact softmin
+            # the last block's rows less their minima, in step order, then one exact softmin
             for s in range(t - period, t):
-                scores += gather(idx[:, s])
+                scores += gather(idx[:, s]) - rowmin.take(idx[:, s])[:, None]
             softmin(np.divide(scores, beta, out=mirrored), out=mirrored)
         total += mirrored
     return np.ascontiguousarray(total / n)
@@ -364,8 +357,7 @@ def ma_run(
     """
     _require_mixture_size(dictionary.size)
     idx, design, ys = _sample_atoms(data, spec, dictionary)
-    betas, gammas = sched.arrays(len(data))
-    theta = ma_weights(idx, design, ys, spec.kind, betas, gammas)[0]
+    theta = ma_weights(idx, design, ys, spec.kind, sched.betas(len(data)))[0]
     return theta, MixturePredictor(dictionary, theta)
 
 

@@ -117,26 +117,29 @@ def _words(conv):
     return parse
 
 
+def _get_present(resolved: dict, section: str, convs: dict) -> dict:
+    """The keys of ``convs`` that ``section`` sets, parsed; the others keep their dataclass defaults."""
+    return {key: _get(resolved, f"{section}.{key}", conv) for key, conv in convs.items() if f"{section}.{key}" in resolved}
+
+
 def _get_loss(resolved, section) -> LossSpec:
     kind = _get(resolved, f"{section}.loss")
     if kind not in LOSS_KINDS:
         raise ConfigError(f"{section}.loss must be one of {LOSS_KINDS}, got {kind!r}")
-    y_bound = _get(resolved, f"{section}.y_bound", float, 1.0)
+    options = _get_present(resolved, section, {"y_bound": float})
     try:
-        return LossSpec(kind=kind, y_bound=y_bound)
+        return LossSpec(kind=kind, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _get_generator(resolved: dict) -> GeneratorSpec:
+    family = _get(resolved, "generator.family")
+    options = _get_present(
+        resolved, "generator", {"grid_size": int, "noise_level": float, "margin_exponent": float, "tie_gap": float}
+    )
     try:
-        return GeneratorSpec(
-            family=_get(resolved, "generator.family"),
-            grid_size=_get(resolved, "generator.grid_size", int, 16),
-            noise_level=_get(resolved, "generator.noise_level", float, 0.0),
-            margin_exponent=_get(resolved, "generator.margin_exponent", float, 1.0),
-            tie_gap=_get(resolved, "generator.tie_gap", float, 0.01),
-        )
+        return GeneratorSpec(family=family, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

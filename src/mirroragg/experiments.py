@@ -351,8 +351,7 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
                 schedule = Schedule.sqrt_growth(beta0)
             else:
                 schedule = Schedule.constant(beta0)
-            betas_t, gammas_t = schedule.arrays(n)
-            achieved = mixture_risks(ma_weights(idx, design, dist.ys, kind, betas_t, gammas_t))
+            achieved = mixture_risks(ma_weights(idx, design, dist.ys, kind, schedule.betas(n)))
             emit("MA", achieved, okind, 2.0 * math.sqrt(qstar * log_m / n))
         else:
             vertex_risks = np.array(column_risks(kind, dist, design.T))

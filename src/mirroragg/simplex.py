@@ -41,17 +41,15 @@ def uniform_weights(m: int) -> np.ndarray:
     return np.full(m, 1.0 / m)
 
 
-def validate_weights(theta, size: int | None = None, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def validate_weights(theta, size: int | None = None) -> np.ndarray:
     """Check that ``theta`` is a probability vector and return it as an array.
 
     Parameters
     ----------
     theta : array_like
-        Candidate weight vector.
+        Candidate weight vector; it must sum to 1 within ``SIMPLEX_ATOL``.
     size : int, optional
         Required length; mismatch is an error.
-    atol : float
-        Absolute tolerance on the sum-to-one constraint.
     """
     arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1:
@@ -63,8 +61,8 @@ def validate_weights(theta, size: int | None = None, atol: float = SIMPLEX_ATOL)
     if np.any(arr < 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(arr.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"weights must sum to 1 within {atol}, got sum {total!r}")
+    if abs(total - 1.0) > SIMPLEX_ATOL:
+        raise ValueError(f"weights must sum to 1 within {SIMPLEX_ATOL}, got sum {total!r}")
     return arr
 
 

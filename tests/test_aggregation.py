@@ -126,7 +126,7 @@ class TestGradientStep:
             ma_run([LabeledSample(0, 1.0)], LossSpec("phi_hinge"), two_constant_arms(), UNIT_SCHEDULE)
 
     def test_bad_schedule_values_rejected(self):
-        bad = Schedule(beta_at=lambda i: -1.0, gamma_at=lambda i: 1.0)
+        bad = Schedule(beta_at=lambda i: -1.0)
         with pytest.raises(ValueError):
             ma_step(ma_init(2), LabeledSample(0, 1.0), LossSpec("squared"), two_constant_arms(), bad)
 

@@ -201,6 +201,22 @@ class TestRunCell:
         rows = run_cell(config, 16, 4)
         assert [(row.algorithm, row.oracle_kind) for row in rows] == [("MA", "C")]
 
+    def test_a_constant_ma_schedule_runs_every_step_at_ma_beta0(self, monkeypatch):
+        seen = []
+
+        def recording_ma_weights(idx, design, ys, kind, betas):
+            seen.append(betas)
+            return ma_weights(idx, design, ys, kind, betas)
+
+        monkeypatch.setattr(experiments, "ma_weights", recording_ma_weights)
+        config = small_config(
+            algorithms=("MA",), ma_schedule="constant", ma_beta0=0.7, n_grid=(16,), m_grid=(4,), replications=5
+        )
+        rows = run_cell(config, 16, 4)
+        assert [(row.algorithm, row.oracle_kind) for row in rows] == [("MA", "C")]
+        assert len(seen) == 1
+        assert seen[0].tolist() == [0.7] * 16
+
     def test_the_kernels_run_after_the_dictionary_is_released(self, monkeypatch):
         """Past the tabulation a cell keeps only the range bound.
 
@@ -247,7 +263,7 @@ class TestBatchEngines:
         sched = Schedule.sqrt_growth(1.7)
 
         batched_lin = lma_weights(idx, losses, beta)
-        batched_grad = ma_weights(idx, design, dist.ys, "squared", *sched.arrays(17))
+        batched_grad = ma_weights(idx, design, dist.ys, "squared", sched.betas(17))
         batched_totals = erm_totals(idx, losses)
         for r in range(reps):
             data = [dist.atoms[i][0] for i in idx[r]]
@@ -278,10 +294,10 @@ class TestBatchEngines:
         losses = loss_values("squared", dist.ys[:, None], design)
         idx = dist.replicate_indices((21, 40, m), 9, 40)
         alone = idx[4:5]
-        betas, gammas = Schedule.sqrt_growth(0.9).arrays(40)
+        betas = Schedule.sqrt_growth(0.9).betas(40)
         pairs = [
-            (ma_weights(idx, design, dist.ys, "squared", betas, gammas)[4],
-             ma_weights(alone, design, dist.ys, "squared", betas, gammas)[0]),
+            (ma_weights(idx, design, dist.ys, "squared", betas)[4],
+             ma_weights(alone, design, dist.ys, "squared", betas)[0]),
             (lma_weights(idx, losses, 2.0)[4], lma_weights(alone, losses, 2.0)[0]),
             (erm_totals(idx, losses)[4], erm_totals(alone, losses)[0]),
         ]

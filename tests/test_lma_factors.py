@@ -118,3 +118,40 @@ def test_a_two_arm_row_is_the_same_alone_and_among_nine_across_re_anchors(spread
     among = lma_weights(idx, losses, 1.0)
     for r in (0, 4, 8):
         np.testing.assert_array_equal(among[r], lma_weights(idx[r : r + 1], losses, 1.0)[0])
+
+
+def longdouble_fold(idx, losses, beta):
+    """``exact_fold`` in long double, on the rows less their minima.
+
+    A double less a double of about the same size is exact in long
+    double, so the shifted rows carry only their spread; the softmin
+    ignores the per-row shift, so this is the fold of the raw rows.
+    """
+    shifted = losses.astype(np.longdouble) - losses.min(axis=1, keepdims=True)
+    folds = []
+    for row in idx:
+        prefixes = np.vstack([np.zeros((1, losses.shape[1]), np.longdouble), np.cumsum(shifted[row[:-1]], axis=0)])
+        z = prefixes / beta
+        w = np.exp(z.min(axis=1, keepdims=True) - z)
+        folds.append((w / w.sum(axis=1, keepdims=True)).mean(axis=0))
+    return np.array(folds, dtype=float)
+
+
+def test_re_anchors_round_the_scores_at_the_spread_not_at_the_common_offset():
+    """Spread/beta = 1 (K = 600) and per-atom offsets of about 1e4 * beta, over 1800 steps.
+
+    Each atom's row is a rotation of one row, and the atoms come in
+    shuffled rounds of all five, so no arm runs away and the weights stay
+    far from 0 and 1.  Raw rows would sum to scores of about 1e7 * beta,
+    whose rounding moves the weights by about 1e-10; the rows less their
+    minima keep the scores at the size of the spread.
+    """
+    rng = np.random.default_rng(0)
+    beta = 0.5
+    v = np.sort(rng.uniform(0.0, 1.0, 5))
+    v[0], v[-1] = 0.0, 1.0
+    # integer offsets keep each row's spread exactly beta
+    losses = beta * (np.array([np.roll(v, a) for a in range(5)]) + np.round(rng.uniform(0.9e4, 1.1e4, (5, 1))))
+    assert _reanchor_period(float((losses.max(axis=1) - losses.min(axis=1)).max()), beta) == 600
+    idx = np.array([np.concatenate([rng.permutation(5) for _ in range(360)]) for _ in range(3)])
+    np.testing.assert_allclose(lma_weights(idx, losses, beta), longdouble_fold(idx, losses, beta), rtol=0, atol=1e-12)

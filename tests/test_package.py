@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mirroragg
-from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
+from mirroragg.aggregation import Schedule, erm_totals, lma_weights, ma_weights
 
 SOURCE = Path(mirroragg.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,13 +49,17 @@ def test_only_oracles_validates_a_distribution_for_a_loss():
     "kernel, parameters",
     [
         (lma_weights, ["idx", "losses", "beta"]),
-        (ma_weights, ["idx", "design", "ys", "kind", "betas", "gammas"]),
+        (ma_weights, ["idx", "design", "ys", "kind", "betas"]),
         (erm_totals, ["idx", "losses"]),
+        (Schedule, ["beta_at"]),
     ],
-    ids=["lma_weights", "ma_weights", "erm_totals"],
+    ids=["lma_weights", "ma_weights", "erm_totals", "Schedule"],
 )
 def test_the_batch_kernels_take_no_tuning_parameter(kernel, parameters):
-    """Block sizes, re-anchor periods and layouts come from the inputs, never from a knob."""
+    """Block sizes, re-anchor periods and layouts come from the inputs, never from a knob.
+
+    MA takes unit steps, so its schedule holds temperatures only.
+    """
     assert list(inspect.signature(kernel).parameters) == parameters
 
 

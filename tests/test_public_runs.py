@@ -64,8 +64,7 @@ def per_observation_runs(data, spec, dictionary):
     if spec.differentiable:
         design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in data])
         ys = np.array([z.y for z in data])
-        betas, gammas = SCHEDULE.arrays(n)
-        runs["ma"] = ma_weights(idx, design, ys, spec.kind, betas, gammas)[0]
+        runs["ma"] = ma_weights(idx, design, ys, spec.kind, SCHEDULE.betas(n))[0]
     return runs
 
 
@@ -162,24 +161,22 @@ def test_margin_values_outside_the_unit_range_warn_once_per_run():
 
 
 @pytest.mark.parametrize(
-    "beta, gamma, message",
+    "beta, message",
     [
-        ([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 0.0], r"beta_at\(3\) must be positive"),
-        ([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 0.0, 1.0], r"gamma_at\(3\) must be positive"),
-        ([1.0, math.inf, 1.0, 1.0], [1.0, math.nan, 1.0, 1.0], r"beta_at\(2\) must be positive and finite, got np.float64\(inf\)"),
-        ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, math.nan], r"gamma_at\(4\)"),
+        ([1.0, 1.0, -1.0, 1.0], r"beta_at\(3\) must be positive"),
+        ([1.0, math.inf, 1.0, 1.0], r"beta_at\(2\) must be positive and finite, got np.float64\(inf\)"),
+        ([1.0, 0.0, math.nan, -1.0], r"beta_at\(2\) must be positive and finite, got np.float64\(0.0\)"),
     ],
 )
-def test_schedule_arrays_report_the_first_bad_step_beta_first(beta, gamma, message):
-    schedule = Schedule(beta_at=lambda i: beta[i - 1], gamma_at=lambda i: gamma[i - 1])
+def test_schedule_betas_report_the_first_bad_step(beta, message):
+    schedule = Schedule(beta_at=lambda i: beta[i - 1])
     with pytest.raises(ValueError, match=message):
-        schedule.arrays(4)
+        schedule.betas(4)
 
 
-def test_schedule_arrays_are_the_per_step_values():
-    betas, gammas = Schedule.sqrt_growth(0.5, 0.25).arrays(5)
+def test_schedule_betas_are_the_per_step_values():
+    betas = Schedule.sqrt_growth(0.5).betas(5)
     assert betas.tolist() == [0.5 * math.sqrt(i) for i in range(1, 6)]
-    assert gammas.tolist() == [0.25] * 5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
