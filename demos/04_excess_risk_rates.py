@@ -16,7 +16,7 @@ from mirroragg import (
     LossSpec,
     fit_rate_slope,
     optimal_rate,
-    run_cell,
+    run_dictionary_size,
     verify_bound,
 )
 
@@ -30,10 +30,8 @@ config = ExperimentConfig(
     master_seed=424243,
 )
 
-rows = []
-for n in config.n_grid:
-    for m in config.m_grid:
-        rows.extend(run_cell(config, n, m))
+# one pass per dictionary size yields every sample size of the grid
+rows = [row for m in config.m_grid for row in run_dictionary_size(config, m)]
 
 print(f"{'n':>6} {'M':>4} {'algo':<5} {'mean excess':>12} {'2*stderr':>10} {'bound':>10} {'ok':>3}")
 for row in rows:

@@ -13,7 +13,7 @@ be the weaker strategy is gaps that shrink with n, which a fixed
 instance cannot represent; the table is descriptive, not a test.
 """
 
-from mirroragg import ExperimentConfig, GeneratorSpec, LossSpec, run_cell
+from mirroragg import ExperimentConfig, GeneratorSpec, LossSpec, run_dictionary_size
 
 squared = LossSpec("squared", y_bound=1.0)
 
@@ -27,9 +27,7 @@ for gap in (0.01, 0.002):
         loss=squared,
         master_seed=424243,
     )
-    rows = []
-    for n in config.n_grid:
-        rows.extend(run_cell(config, n, 8))
+    rows = run_dictionary_size(config, 8)
     by_cell = {(r.n, r.algorithm): r for r in rows}
 
     print(f"tie gap {gap}, M = 8, excess over the best single arm:")

@@ -23,9 +23,13 @@ multiplies the scores by ``c``, which is the same as dividing every
 Each recursion runs in one batch kernel over an ``(R, n)`` array of atom
 indices, one replicate per row: ``ma_weights`` on the atom design values
 and labels, ``lma_weights`` and ``erm_totals`` on the per-atom loss table
-``loss_values(kind, ys[:, None], design)``.  The public runs fold their
-sample into such a table, one atom per distinct observation and one
-replicate row of indices, so they evaluate the dictionary once per
+``loss_values(kind, ys[:, None], design)``.  A kernel takes a list of
+checkpoints, increasing step counts up to ``n``, and returns one
+``(R, M)`` array per checkpoint ``c``: its output after the first ``c``
+steps, the same bit for bit as a fold that stops there.  One fold to the
+largest sample size thus serves every smaller one.  The public runs fold
+their sample into such a table, one atom per distinct observation and
+one replicate row of indices, so they evaluate the dictionary once per
 distinct observation; they validate what the kernels take on trust.
 ``ma_step`` is the validated per-sample step the kernels are tested
 against.
@@ -38,10 +42,11 @@ exponential-weights update).  ``lma_weights`` builds this factor table
 once per call, one row per atom, so a step is a gather, a multiply, a row
 sum and a divide.  Every ``K`` steps it re-anchors instead: it adds the
 block's loss rows less their minima ``min_j L[a, j]`` to the scores in
-step order and runs one exact softmin, which a per-row shift leaves as it
-is.  The weights at every re-anchor are then those of an exact softmin at
-every step, bit for bit, a row never depends on the replicates beside it,
-and the scores round at the size of the rows' spread, not of their offset.
+step order, subtracts each score row's own minimum and runs one exact
+softmin; neither shift moves a softmin.  The weights at every re-anchor
+are then an exact softmin of the scores, a row never depends on the
+replicates beside it, and the scores round at the size of one block's
+spread, not of the rows' offset or of the steps before.
 
 ``K`` is read off the table.  Let ``D`` be the largest per-atom spread
 ``max_j L[a, j] - min_j L[a, j]``.  One step moves the log of a weight
@@ -238,29 +243,35 @@ def _arm_layout(reps: int, table: np.ndarray):
     return "C", lambda a: table.take(a, axis=0)
 
 
-def ma_weights(idx, design, ys, kind: str, betas) -> np.ndarray:
-    """Averaged weights of the gradient algorithm, one row per replicate.
+def ma_weights(idx, design, ys, kind: str, betas, checkpoints) -> list:
+    """Averaged weights of the gradient algorithm at each checkpoint, one row per replicate.
 
     Row ``r`` folds the observations ``(design[a], ys[a])`` for the atom
     indices ``a`` in ``idx[r]``, in order, with a unit step at temperature
-    ``betas[t]`` at step ``t + 1``.
+    ``betas[t]`` at step ``t + 1``.  ``checkpoints`` are increasing step
+    counts, the last one the width of ``idx`` (see the module docstring).
     """
-    reps, n = idx.shape
+    reps = idx.shape[0]
     m = design.shape[1]
     order, gather = _arm_layout(reps, design)
     scores = np.zeros((reps, m), order=order)
     mirrored = np.full((reps, m), 1.0 / m, order=order)
     total = np.zeros((reps, m), order=order)
     work = np.empty((reps, m), order=order)
-    for t in range(n):
-        a = idx[:, t]
-        f = gather(a)
-        mix = np.multiply(mirrored, f, out=work).sum(axis=1, keepdims=True)
-        coef = grad_coef(kind, ys.take(a)[:, None], mix)
-        total += mirrored
-        scores += np.multiply(coef, f, out=work)
-        softmin(np.divide(scores, betas[t], out=mirrored), out=mirrored)
-    return np.ascontiguousarray(total / n)
+    averaged = []
+    start = 0
+    for stop in checkpoints:
+        for t in range(start, stop):
+            a = idx[:, t]
+            f = gather(a)
+            mix = np.multiply(mirrored, f, out=work).sum(axis=1, keepdims=True)
+            coef = grad_coef(kind, ys.take(a)[:, None], mix)
+            total += mirrored
+            scores += np.multiply(coef, f, out=work)
+            softmin(np.divide(scores, betas[t], out=mirrored), out=mirrored)
+        averaged.append(np.ascontiguousarray(total / stop))
+        start = stop
+    return averaged
 
 
 def _reanchor_period(spread: float, beta: float) -> int:
@@ -273,13 +284,14 @@ def _reanchor_period(spread: float, beta: float) -> int:
     return max(1, int(_RECOVERY_EXPONENT * beta / spread))
 
 
-def lma_weights(idx, losses, beta: float) -> np.ndarray:
-    """Averaged weights of the linearized algorithm, one row per replicate.
+def lma_weights(idx, losses, beta: float, checkpoints) -> list:
+    """Averaged weights of the linearized algorithm at each checkpoint, one row per replicate.
 
     ``losses[a]`` is the per-function loss vector at atom ``a``; row ``r``
     folds the atoms ``idx[r]`` in order at constant temperature ``beta``.
+    ``checkpoints`` as for ``ma_weights``.
     """
-    reps, n = idx.shape
+    reps = idx.shape[0]
     m = losses.shape[1]
     order, gather = _arm_layout(reps, losses)
     rowmin = losses.min(axis=1)
@@ -292,29 +304,41 @@ def lma_weights(idx, losses, beta: float) -> np.ndarray:
     scores = np.zeros((reps, m), order=order)
     mirrored = np.full((reps, m), 1.0 / m, order=order)
     total = mirrored.copy(order=order)
-    for t in range(1, n):
-        if t % period:
-            mirrored *= gather_factors(idx[:, t - 1])
-            mirrored /= mirrored.sum(axis=1, keepdims=True)
-        else:
-            # the last block's rows less their minima, in step order, then one exact softmin
-            for s in range(t - period, t):
-                scores += gather(idx[:, s]) - rowmin.take(idx[:, s])[:, None]
-            softmin(np.divide(scores, beta, out=mirrored), out=mirrored)
-        total += mirrored
-    return np.ascontiguousarray(total / n)
+    averaged = []
+    start = 1
+    for stop in checkpoints:
+        for t in range(start, stop):
+            if t % period:
+                mirrored *= gather_factors(idx[:, t - 1])
+                mirrored /= mirrored.sum(axis=1, keepdims=True)
+            else:
+                # the last block's rows less their minima, in step order, and each
+                # score row less its own minimum, then one exact softmin
+                for s in range(t - period, t):
+                    scores += gather(idx[:, s]) - rowmin.take(idx[:, s])[:, None]
+                scores -= scores.min(axis=1, keepdims=True)
+                softmin(np.divide(scores, beta, out=mirrored), out=mirrored)
+            total += mirrored
+        averaged.append(np.ascontiguousarray(total / stop))
+        start = stop
+    return averaged
 
 
-def erm_totals(idx, losses) -> np.ndarray:
-    """Summed per-function losses ``sum_t losses[idx[r, t]]``, one row per replicate.
+def erm_totals(idx, losses, checkpoints) -> list:
+    """Summed per-function losses ``sum_t losses[idx[r, t]]`` at each checkpoint, one row per replicate.
 
-    The empirical risk minimizer of replicate ``r`` is the row's argmin
-    (ties to the lowest index).
+    ``checkpoints`` as for ``ma_weights``.  The empirical risk minimizer of
+    replicate ``r`` is the row's argmin (ties to the lowest index).
     """
     totals = np.zeros((idx.shape[0], losses.shape[1]))
-    for t in range(idx.shape[1]):
-        totals += losses.take(idx[:, t], axis=0)
-    return totals
+    sums = []
+    start = 0
+    for stop in checkpoints:
+        for t in range(start, stop):
+            totals += losses.take(idx[:, t], axis=0)
+        sums.append(totals.copy())
+        start = stop
+    return sums
 
 
 def _sample_atoms(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dictionary):
@@ -357,7 +381,7 @@ def ma_run(
     """
     _require_mixture_size(dictionary.size)
     idx, design, ys = _sample_atoms(data, spec, dictionary)
-    theta = ma_weights(idx, design, ys, spec.kind, sched.betas(len(data)))[0]
+    theta = ma_weights(idx, design, ys, spec.kind, sched.betas(len(data)), (len(data),))[0][0]
     return theta, MixturePredictor(dictionary, theta)
 
 
@@ -375,7 +399,7 @@ def lma_run(
     require_positive("beta", beta)
     _require_mixture_size(dictionary.size)
     idx, design, ys = _sample_atoms(data, spec, dictionary)
-    theta = lma_weights(idx, loss_values(spec.kind, ys[:, None], design), beta)[0]
+    theta = lma_weights(idx, loss_values(spec.kind, ys[:, None], design), beta, (len(data),))[0][0]
     return theta, MixturePredictor(dictionary, theta)
 
 
@@ -389,6 +413,6 @@ def erm_select(
     Ties break to the lowest index (the first minimum found).
     """
     idx, design, ys = _sample_atoms(data, spec, dictionary)
-    emp = erm_totals(idx, loss_values(spec.kind, ys[:, None], design))[0] / len(data)
+    emp = erm_totals(idx, loss_values(spec.kind, ys[:, None], design), (len(data),))[0][0] / len(data)
     j = int(np.argmin(emp))
     return j, float(emp[j])

@@ -34,11 +34,14 @@ from pathlib import Path
 
 from . import __version__
 from .conditions import check_exp_map_concavity, check_nice_loss, nice_beta_report
-from .experiments import (
+# run_cell is unused here but stays a name of this module: perfbench's
+# tracer wraps cli.run_cell
+from .experiments import (  # noqa: F401
     ExperimentConfig,
     GeneratorSpec,
     generate_instance,
     run_cell,
+    run_dictionary_size,
 )
 from .losses import LOSS_KINDS, PHI_EXPONENTIAL, PHI_LOGIT2, LossSpec
 from .oracles import optimal_rate
@@ -213,21 +216,22 @@ def _write_report(args, name: str, digest: str, seed, header: str, records) -> N
 
 
 # A replicate step costs about as much as this many arm updates on top of
-# its M arms, so a cell's run time is roughly proportional to n * (M + 16).
+# its M arms, so the pass of one dictionary size takes time roughly
+# proportional to n_max * (M + 16).
 _STEP_COST_IN_ARMS = 16
 
 
-def _cell_cost(cell) -> int:
-    _, n, m = cell
-    return n * (m + _STEP_COST_IN_ARMS)
+def _size_cost(unit) -> int:
+    config, m = unit
+    return max(config.n_grid) * (m + _STEP_COST_IN_ARMS)
 
 
-def _cell_worker(args):
-    config, n, m = args
+def _size_worker(unit):
+    config, m = unit
     try:
-        return "ok", run_cell(config, n, m)
-    except Exception as exc:  # noqa: BLE001 - cell failures become exit code 1
-        return "err", f"cell (n={n}, M={m}) failed: {exc}"
+        return "ok", run_dictionary_size(config, m)
+    except Exception as exc:  # noqa: BLE001 - failures become exit code 1
+        return "err", str(exc)
 
 
 def cmd_run(args) -> int:
@@ -236,29 +240,34 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
-    cells = [(config, n, m) for n in config.n_grid for m in config.m_grid]
-    # more workers than cells or cores cannot help, and each one is a process
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    # one unit of work per dictionary size: it yields the rows of every n
+    units = [(config, m) for m in config.m_grid]
+    # more workers than units or cores cannot help, and each one is a process
+    workers = min(args.jobs, len(units), os.cpu_count() or 1)
     _write_manifest(out_dir, digest, config.master_seed, [results_path], workers=workers)
     if workers > 1:
-        # largest cells first, so that no long cell starts last; outcomes
+        # largest units first, so that no long one starts last; outcomes
         # are then read back in grid order
-        largest_first = sorted(range(len(cells)), key=lambda i: -_cell_cost(cells[i]))
+        largest_first = sorted(range(len(units)), key=lambda i: -_size_cost(units[i]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_cell_worker, cells[i]) for i in largest_first}
-            outcomes = [futures[i].result() for i in range(len(cells))]
+            futures = {i: pool.submit(_size_worker, units[i]) for i in largest_first}
+            outcomes = [futures[i].result() for i in range(len(units))]
     else:
-        outcomes = [_cell_worker(cell) for cell in cells]
+        outcomes = [_size_worker(unit) for unit in units]
 
     rows = []
     failures = []
-    for (_, n, m), (status, payload) in zip(cells, outcomes):
-        if status == "ok":
-            rows.extend(payload)
-            if not args.quiet:
-                print(f"cell n={n} M={m}: {len(payload)} rows")
-        else:
-            failures.append(payload)
+    for i, n in enumerate(config.n_grid):
+        for m, (status, payload) in zip(config.m_grid, outcomes):
+            if status == "ok":
+                # a size's rows come n by n, the same count for every n
+                per_cell = len(payload) // len(config.n_grid)
+                cell_rows = payload[i * per_cell : (i + 1) * per_cell]
+                rows.extend(cell_rows)
+                if not args.quiet:
+                    print(f"cell n={n} M={m}: {len(cell_rows)} rows")
+            else:
+                failures.append(f"cell (n={n}, M={m}) failed: {payload}")
 
     results_path.write_text(rows_to_csv(rows, digest))
     _write_manifest(out_dir, digest, config.master_seed, [results_path], failures, workers)
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run the benchmark grid of a config file")
     _add_common(run_parser, config=True)
-    run_parser.add_argument("--jobs", type=int, default=1, help="worker count, capped at cells and CPUs")
+    run_parser.add_argument("--jobs", type=int, default=1, help="worker count, capped at dictionary sizes and CPUs")
     run_parser.set_defaults(func=cmd_run)
 
     cond_parser = sub.add_parser("check-conditions", help="run the loss-condition checkers")

@@ -119,7 +119,7 @@ def check_nice_loss(
     idx = dist.replicate_indices((seed,), mc_outer, n + 1)
     test_idx = idx[:, n]
     losses = loss_values(spec.kind, dist.ys[:, None], design)
-    thetas = lma_weights(idx[:, :n], losses, beta)
+    thetas = lma_weights(idx[:, :n], losses, beta, (n,))[0]
     test_values = design[test_idx]
     test_ys = dist.ys[test_idx]
     q_mix = loss_values(spec.kind, test_ys, (thetas * test_values).sum(axis=1))

@@ -1,18 +1,26 @@
 """Monte Carlo harness: instance generators, replicated runs, rate checks.
 
 A cell is one ``(sample size, dictionary size)`` point of a benchmark
-grid.  ``run_cell`` builds the instance for the cell, draws ``R``
-independent training samples from per-replicate seeded streams, runs the
-configured algorithms, and reports the mean excess risk of each against
-its own oracle only (the selector's is the selection oracle); a cell
-solves just the oracles its rows report.  The aggregation rows also
-carry the theoretical bound value:
+grid.  ``run_dictionary_size`` makes every cell of one dictionary size in
+one pass: it builds the instance, draws ``R`` independent training
+samples of the largest sample size from per-replicate seeded streams,
+folds the configured algorithms over them once, and reports at each
+sample size ``n`` of the grid the mean excess risk of each over the
+first ``n`` draws, against its own oracle only (the selector's is the
+selection oracle).  ``run_cell`` is the same pass at one sample size.
+The aggregation rows also carry the theoretical bound value:
 
 * linearized algorithm, selection oracle: ``beta * log(M) / (n + 1)``;
 * gradient algorithm, convex oracle: ``2 * sqrt(Qstar * log(M) / n)``.
 
-Replicate streams are keyed by ``(master seed, n, M, r)``, and replicates
-are reduced in index order, so results are identical however cells or
+Streams are keyed by purpose.  The instance of a dictionary size comes
+from ``[master seed, family code, M]`` (codes 1 to 4), and replicate
+``r`` from ``[master seed, 5, M, r]``, 5 being the replicate tag.  The
+key holds no sample size, so the cells of one ``M`` are nested samples:
+a cell's replicate ``r`` is the first ``n`` draws of one stream.  Each
+cell's mean, standard error and bound verdict keep their distribution,
+but the cells of one ``M`` are dependent.  Replicates are reduced in
+index order, so results are identical however dictionary sizes or
 replicates are scheduled.
 """
 
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +57,7 @@ __all__ = [
     "BoundCheck",
     "generate_instance",
     "default_lma_betas",
+    "run_dictionary_size",
     "run_cell",
     "fit_rate_slope",
     "verify_bound",
@@ -62,6 +71,12 @@ _FAMILY_CODES = {family: code for code, family in enumerate(FAMILIES, start=1)}
 # over this interval so the dictionary's risk gaps straddle the crossover
 # scales of the benchmark n grid.
 _PERTURBATION_AMPLITUDES = (0.35, 0.7)
+
+# Purpose word of the replicate streams ``[seed, tag, M, r]``.  numpy's
+# SeedSequence ignores trailing zero words, so replicate 0's stream is
+# ``[seed, tag, M]``; a tag that is no family code keeps it apart from every
+# instance stream ``[seed, code, M]``.
+_REPLICATE_TAG = len(FAMILIES) + 1
 
 # the oracle each algorithm's rows are measured against
 _ORACLE_OF = {"MA": "C", "LMA": "MS", "ERM": "MS"}
@@ -277,15 +292,16 @@ class BoundCheck:
     failures: tuple
 
 
-def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
-    """Run every configured algorithm on one grid cell.
+def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
+    """Run every configured algorithm on every cell of one dictionary size.
 
-    Returns one row per algorithm, in configuration order.  Each row
-    measures excess against the algorithm's natural oracle: selection
-    oracle for the linearized algorithm and the selector, convex oracle
-    for the gradient algorithm, and only those oracles are solved.  The
-    theoretical bound is attached where one applies (both aggregation
-    algorithms, not the selector).
+    Returns the rows of each ``n`` of ``config.n_grid`` in grid order, one
+    row per algorithm in configuration order.  Each row measures excess
+    against the algorithm's natural oracle: selection oracle for the
+    linearized algorithm and the selector, convex oracle for the gradient
+    algorithm, and only those oracles are solved.  The theoretical bound
+    is attached where one applies (both aggregation algorithms, not the
+    selector).
     """
     loss = config.loss
     dist, dictionary = generate_instance(config.generator, m, config.master_seed)
@@ -297,7 +313,7 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     }
 
     design = atom_design(dictionary, loss, dist)
-    # past the tabulation the cell needs only the range bound; releasing the
+    # past the tabulation the pass needs only the range bound; releasing the
     # dictionary's values lowers the peak while the kernels build their tables
     range_bound = dictionary.range_bound
     del dictionary
@@ -305,7 +321,8 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
     check_margin_range(kind, design)
     losses = loss_values(kind, dist.ys[:, None], design)
     reps = config.replications
-    idx = dist.replicate_indices((config.master_seed, n, m), reps, n)
+    checkpoints = sorted(set(config.n_grid))
+    idx = dist.replicate_indices((config.master_seed, _REPLICATE_TAG, m), reps, checkpoints[-1])
 
     def mixture_risks(thetas):
         # one design @ theta per replicate: a single design @ thetas.T sums
@@ -313,14 +330,14 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
         return column_risks(kind, dist, (design @ theta for theta in thetas))
 
     log_m = math.log(m)
-    rows: list = []
+    rows_at: dict = {n: [] for n in checkpoints}
 
-    def emit(label, achieved, okind, bound):
+    def emit(n, label, achieved, okind, bound):
         achieved = np.asarray(achieved, dtype=float)
         mean_risk = float(achieved.mean())
         stderr = float(achieved.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         mean_excess = mean_risk - oracle_values[okind]
-        rows.append(
+        rows_at[n].append(
             ResultRow(
                 n=n,
                 m=m,
@@ -336,14 +353,17 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
             )
         )
 
+    # the mixture weights are reduced to risks inside one comprehension, so no
+    # checkpoint's weights are held while the next kernel runs
     for algorithm in config.algorithms:
         okind = _ORACLE_OF[algorithm]
         if algorithm == "LMA":
             betas = config.lma_betas or default_lma_betas(loss, range_bound)
             for beta in betas:
-                achieved = mixture_risks(lma_weights(idx, losses, beta))
                 label = "LMA" if len(betas) == 1 else f"LMA@{beta:.6g}"
-                emit(label, achieved, okind, beta * log_m / (n + 1))
+                achieved_at = [mixture_risks(thetas) for thetas in lma_weights(idx, losses, beta, checkpoints)]
+                for n, achieved in zip(checkpoints, achieved_at):
+                    emit(n, label, achieved, okind, beta * log_m / (n + 1))
         elif algorithm == "MA":
             qstar = gradient_second_moment_bound(loss, range_bound)
             beta0 = config.ma_beta0 if config.ma_beta0 is not None else math.sqrt(qstar / log_m)
@@ -351,14 +371,26 @@ def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
                 schedule = Schedule.sqrt_growth(beta0)
             else:
                 schedule = Schedule.constant(beta0)
-            achieved = mixture_risks(ma_weights(idx, design, dist.ys, kind, schedule.betas(n)))
-            emit("MA", achieved, okind, 2.0 * math.sqrt(qstar * log_m / n))
+            ma_betas = schedule.betas(checkpoints[-1])
+            achieved_at = [
+                mixture_risks(thetas) for thetas in ma_weights(idx, design, dist.ys, kind, ma_betas, checkpoints)
+            ]
+            for n, achieved in zip(checkpoints, achieved_at):
+                emit(n, "MA", achieved, okind, 2.0 * math.sqrt(qstar * log_m / n))
         else:
             vertex_risks = np.array(column_risks(kind, dist, design.T))
-            selected = np.argmin(erm_totals(idx, losses), axis=1)
-            emit("ERM", vertex_risks[selected], okind, None)
+            for n, sums in zip(checkpoints, erm_totals(idx, losses, checkpoints)):
+                emit(n, "ERM", vertex_risks[np.argmin(sums, axis=1)], okind, None)
 
-    return rows
+    return [row for n in config.n_grid for row in rows_at[n]]
+
+
+def run_cell(config: ExperimentConfig, n: int, m: int) -> list:
+    """Run every configured algorithm on one grid cell: ``run_dictionary_size`` at the one size ``n``.
+
+    The rows equal the ``n`` rows of a pass over the whole grid, bit for bit.
+    """
+    return run_dictionary_size(replace(config, n_grid=(n,)), m)
 
 
 def fit_rate_slope(rows: Sequence[ResultRow]) -> RateFit:
@@ -366,7 +398,11 @@ def fit_rate_slope(rows: Sequence[ResultRow]) -> RateFit:
 
     Rows with nonpositive mean excess carry no information on a log scale;
     they are excluded with a warning.  At least four distinct usable
-    sample sizes are required.
+    sample sizes are required.  The rows of one dictionary size come
+    from nested samples (see the module docstring), so their errors are
+    correlated: the slope stays a fair summary, but ``stderr``, the OLS
+    standard error from the residuals, no longer measures its sampling
+    error.
     """
     usable = [(row.n, row.mean_excess) for row in rows if row.mean_excess > 0.0]
     dropped = sorted(row.n for row in rows if row.mean_excess <= 0.0)

@@ -37,7 +37,7 @@ from mirroragg import (
     minimal_nice_beta,
     mixture_value,
     ms_oracle,
-    run_cell,
+    run_dictionary_size,
     verify_bound,
 )
 from mirroragg.cli import rows_to_csv
@@ -85,11 +85,9 @@ def report(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def benchmark_rows():
-    rows = []
-    for n in BENCHMARK.n_grid:
-        for m in BENCHMARK.m_grid:
-            rows.extend(run_cell(BENCHMARK, n, m))
-    return rows
+    # one pass per dictionary size, its rows put back in the grid order of results.csv
+    per_size = {m: run_dictionary_size(BENCHMARK, m) for m in BENCHMARK.m_grid}
+    return [row for n in BENCHMARK.n_grid for m in BENCHMARK.m_grid for row in per_size[m] if row.n == n]
 
 
 def classification_instance(key, m, k, scale=1.0):
@@ -341,9 +339,7 @@ def test_criterion_10_selector_mixture_table():
         loss=SQUARED,
         master_seed=424243,
     )
-    rows = []
-    for n in config.n_grid:
-        rows.extend(run_cell(config, n, 8))
+    rows = run_dictionary_size(config, 8)
     by_cell = {(r.n, r.algorithm): r for r in rows}
 
     print("near-tie ladder, M=8: selection-oracle excess by sample size (exploratory)")

@@ -59,8 +59,8 @@ def write_config(tmp_path, text, name="config.ini"):
 def record_pools(monkeypatch):
     """Replace the process pool by a recording stand-in that starts no process.
 
-    Returns the list of requested pool sizes and the list of ``(n, M)``
-    cells in the order they were submitted; each cell runs in-process
+    Returns the list of requested pool sizes and the list of dictionary
+    sizes in the order they were submitted; each size runs in-process
     when it is submitted.
     """
     pools, submitted = [], []
@@ -75,10 +75,10 @@ def record_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, cell):
-            submitted.append(cell[1:])
+        def submit(self, fn, unit):
+            submitted.append(unit[1])
             future = Future()
-            future.set_result(fn(cell))
+            future.set_result(fn(unit))
             return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
@@ -155,6 +155,39 @@ seed = 5
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["failures"]) == 1
 
+    def test_a_failed_dictionary_size_reports_each_of_its_cells(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            """\
+[generator]
+family = near_tie
+grid_size = 4
+noise_level = 0.5
+tie_gap = 0.03
+
+[experiment]
+n_grid = 4 6
+m_grid = 40 2
+replications = 3
+algorithms = LMA ERM
+loss = squared
+seed = 5
+""",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out), "--quiet"]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [failure.split(" failed: ")[0] for failure in manifest["failures"]] == [
+            "cell (n=4, M=40)",
+            "cell (n=6, M=40)",
+        ]
+        assert all("infeasible near-tie ladder" in failure for failure in manifest["failures"])
+        assert capsys.readouterr().err.splitlines() == manifest["failures"]
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert [tuple(row.split(",")[:3]) for row in rows] == [
+            ("4", "2", "LMA"), ("4", "2", "ERM"), ("6", "2", "LMA"), ("6", "2", "ERM"),
+        ]
+
     def test_unknown_key_is_a_config_error(self, tmp_path):
         config = write_config(tmp_path, RUN_CONFIG + "typo_key = 3\n")
         proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
@@ -178,33 +211,40 @@ seed = 5
 
     @pytest.mark.parametrize(
         "jobs, cpus, expected",
-        [("5000", 3, [3]), ("5000", 64, [4]), ("2", 64, [2]), ("5000", None, [])],
+        [("5000", 2, [2]), ("5000", 64, [3]), ("2", 64, [2]), ("5000", None, [])],
     )
-    def test_worker_count_is_capped_by_cells_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, expected):
+    def test_worker_count_is_capped_by_dictionary_sizes_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, expected):
+        # one unit of work per dictionary size, whatever the number of sample sizes
         pools, _ = record_pools(monkeypatch)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 3"))
+        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 3 4"))
         out = tmp_path / "out"
         assert cli.main(["run", "--config", config, "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
         assert pools == expected
-        assert len((out / "results.csv").read_text().splitlines()) == 2 + 4 * 3
+        assert len((out / "results.csv").read_text().splitlines()) == 2 + 6 * 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["workers"] == (expected[0] if expected else 1)
 
-    def test_largest_cells_are_submitted_first_and_rows_keep_grid_order(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 3"))
+    def test_largest_dictionary_sizes_are_submitted_first_and_rows_keep_grid_order(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 4 3"))
         serial = tmp_path / "serial"
-        assert cli.main(["run", "--config", config, "--out", str(serial), "--quiet"]) == 0
+        assert cli.main(["run", "--config", config, "--out", str(serial)]) == 0
+        serial_stdout = capsys.readouterr().out
         _, submitted = record_pools(monkeypatch)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         pooled = tmp_path / "pooled"
-        assert cli.main(["run", "--config", config, "--out", str(pooled), "--jobs", "2", "--quiet"]) == 0
-        # cost n * (M + 16): n=8 before n=4, and within a size M=3 before M=2
-        assert submitted == [(8, 3), (8, 2), (4, 3), (4, 2)]
+        assert cli.main(["run", "--config", config, "--out", str(pooled), "--jobs", "2"]) == 0
+        pooled_stdout = capsys.readouterr().out
+        # cost n_max * (M + 16), one unit per M
+        assert submitted == [4, 3, 2]
         rows = (pooled / "results.csv").read_text().splitlines()[2:]
         cells = [tuple(int(v) for v in row.split(",")[:2]) for row in rows]
-        assert cells == [(4, 2)] * 3 + [(4, 3)] * 3 + [(8, 2)] * 3 + [(8, 3)] * 3
+        grid = [(4, 2), (4, 4), (4, 3), (8, 2), (8, 4), (8, 3)]
+        assert cells == [cell for cell in grid for _ in range(3)]
         assert (pooled / "results.csv").read_bytes() == (serial / "results.csv").read_bytes()
+        progress = [line for line in pooled_stdout.splitlines() if line.startswith("cell ")]
+        assert progress == [f"cell n={n} M={m}: 3 rows" for n, m in grid]
+        assert pooled_stdout.replace(str(pooled), "") == serial_stdout.replace(str(serial), "")
 
     def test_jobs_must_be_positive(self, tmp_path):
         config = write_config(tmp_path, RUN_CONFIG)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from mirroragg import (
     ExperimentConfig,
+    FiniteDistribution,
     GeneratorSpec,
     LossSpec,
     ResultRow,
@@ -24,11 +25,13 @@ from mirroragg import (
     ma_step,
     ms_oracle,
     run_cell,
+    run_dictionary_size,
     uniform_weights,
     verify_bound,
 )
 from mirroragg import experiments
-from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
+from mirroragg.aggregation import _reanchor_period, erm_totals, lma_weights, ma_weights
+from mirroragg.cli import rows_to_csv
 from mirroragg.losses import loss_values
 from mirroragg.oracles import atom_design
 
@@ -138,7 +141,8 @@ class TestRunCell:
         assert abs(lma_row.mean_excess - (uniform_risk - ms.risk_value)) <= 1e-12
         assert abs(ma_row.mean_excess - (uniform_risk - convex.risk_value)) <= 1e-12
 
-        drawn = dist.replicate_indices((config.master_seed, 1, 2), 1, 1)[0, 0]
+        # replicate streams are keyed (seed, 5, M, r), 5 being the replicate tag
+        drawn = dist.replicate_indices((config.master_seed, 5, 2), 1, 1)[0, 0]
         sample, _ = dist.atoms[drawn]
         arm_losses = (sample.y - dictionary.values_at(sample.x)) ** 2
         picked = int(np.argmin(arm_losses))
@@ -204,9 +208,9 @@ class TestRunCell:
     def test_a_constant_ma_schedule_runs_every_step_at_ma_beta0(self, monkeypatch):
         seen = []
 
-        def recording_ma_weights(idx, design, ys, kind, betas):
+        def recording_ma_weights(idx, design, ys, kind, betas, checkpoints):
             seen.append(betas)
-            return ma_weights(idx, design, ys, kind, betas)
+            return ma_weights(idx, design, ys, kind, betas, checkpoints)
 
         monkeypatch.setattr(experiments, "ma_weights", recording_ma_weights)
         config = small_config(
@@ -243,6 +247,67 @@ class TestRunCell:
         assert [row.algorithm for row in rows] == ["LMA", "MA", "ERM"]
 
 
+@pytest.fixture
+def stand_in_draws(monkeypatch):
+    """Replicate draws under a stand-in key ``(seed + 1, 99, M)``; returns the keys and widths asked for.
+
+    The stand-in keeps one stream per ``(M, r)``, as the harness's key
+    does, so the tests below pin the nesting of the samples, not the
+    value of the replicate tag.
+    """
+    real = FiniteDistribution.replicate_indices
+    calls = []
+
+    def stand_in(self, key, replicates, size):
+        calls.append((tuple(key), size))
+        seed, _, m = key
+        return real(self, (seed + 1, 99, m), replicates, size)
+
+    monkeypatch.setattr(FiniteDistribution, "replicate_indices", stand_in)
+    return calls
+
+
+def lma_beta_with_period(period, m=5):
+    """An LMA temperature at which the ``small_config`` instance of size ``m`` re-anchors every ``period`` steps."""
+    dist, dictionary = generate_instance(small_config().generator, m, small_config().master_seed)
+    losses = loss_values("squared", dist.ys[:, None], atom_design(dictionary, SQUARED, dist))
+    spread = float((losses.max(axis=1) - losses.min(axis=1)).max())
+    beta = (period + 0.5) * spread / 600.0
+    assert _reanchor_period(spread, beta) == period
+    return beta
+
+
+class TestDictionarySizePass:
+    """One pass per dictionary size gives the rows of one cell at a time, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(replications=3),
+            dict(replications=9),
+            dict(replications=9, ma_schedule="constant", ma_beta0=0.7),
+            dict(replications=4, algorithms=("LMA", "ERM"), lma_betas=(2.0, 5.0)),
+            dict(replications=9, algorithms=("LMA",), lma_betas=(lma_beta_with_period(5),), n_grid=(1, 10, 13, 25)),
+            dict(replications=2, n_grid=(1,)),
+        ],
+        ids=["R<M", "R>M", "constant-MA", "two-LMA-temperatures", "re-anchor-every-5", "n=1"],
+    )
+    def test_the_pass_equals_the_cells_one_at_a_time(self, stand_in_draws, overrides):
+        """Five arms, so three replicates run the row-major state and nine the arm-major one.
+
+        At a re-anchor period of 5, checkpoint 10 stops right before a
+        re-anchor, whose block the next segment replays, and 13 stops
+        between two.  The grid is unsorted on purpose.
+        """
+        config = small_config(**{"n_grid": (33, 1, 20, 7), "m_grid": (5,), **overrides})
+        per_size = run_dictionary_size(config, 5)
+        per_cell = [row for n in config.n_grid for row in run_cell(config, n, 5)]
+        # one draw to the largest n for the pass, then one per cell, all from one key
+        key = stand_in_draws[0][0]
+        assert stand_in_draws == [(key, max(config.n_grid))] + [(key, n) for n in config.n_grid]
+        assert rows_to_csv(per_size, "") == rows_to_csv(per_cell, "")
+
+
 class TestBatchEngines:
     @pytest.mark.parametrize("reps", [3, 9])
     def test_batched_runs_match_the_public_single_runs(self, reps):
@@ -262,9 +327,9 @@ class TestBatchEngines:
         beta = 3.0
         sched = Schedule.sqrt_growth(1.7)
 
-        batched_lin = lma_weights(idx, losses, beta)
-        batched_grad = ma_weights(idx, design, dist.ys, "squared", sched.betas(17))
-        batched_totals = erm_totals(idx, losses)
+        [batched_lin] = lma_weights(idx, losses, beta, (17,))
+        [batched_grad] = ma_weights(idx, design, dist.ys, "squared", sched.betas(17), (17,))
+        [batched_totals] = erm_totals(idx, losses, (17,))
         for r in range(reps):
             data = [dist.atoms[i][0] for i in idx[r]]
             state = ma_init(5)
@@ -296,10 +361,10 @@ class TestBatchEngines:
         alone = idx[4:5]
         betas = Schedule.sqrt_growth(0.9).betas(40)
         pairs = [
-            (ma_weights(idx, design, dist.ys, "squared", betas)[4],
-             ma_weights(alone, design, dist.ys, "squared", betas)[0]),
-            (lma_weights(idx, losses, 2.0)[4], lma_weights(alone, losses, 2.0)[0]),
-            (erm_totals(idx, losses)[4], erm_totals(alone, losses)[0]),
+            (ma_weights(idx, design, dist.ys, "squared", betas, (40,))[0][4],
+             ma_weights(alone, design, dist.ys, "squared", betas, (40,))[0][0]),
+            (lma_weights(idx, losses, 2.0, (40,))[0][4], lma_weights(alone, losses, 2.0, (40,))[0][0]),
+            (erm_totals(idx, losses, (40,))[0][4], erm_totals(alone, losses, (40,))[0][0]),
         ]
         for among, single in pairs:
             if m == 2:

@@ -49,7 +49,7 @@ class TestUnderflowAndOverflow:
         """
         losses = np.array([[0.0, 1.0], [1.0, 0.0]])
         row = [0] * 100 + [1] * 100 + [0] * 50
-        got = lma_weights(np.array([row]), losses, 0.1)[0]
+        got = lma_weights(np.array([row]), losses, 0.1, (len(row),))[0][0]
         want = gibbs_fold(row, losses, 0.1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, [0.99599946, 0.00400054], rtol=0, atol=1e-8)
@@ -58,7 +58,7 @@ class TestUnderflowAndOverflow:
         """exp(-2000) is 0, so a factor table would zero both weights of the second step."""
         losses = np.array([[0.0, 1000.0], [2000.0, 0.0]])
         assert _reanchor_period(2000.0, 1.0) == 1
-        got = lma_weights(np.array([[0, 1, 1]]), losses, 1.0)[0]
+        got = lma_weights(np.array([[0, 1, 1]]), losses, 1.0, (3,))[0][0]
         np.testing.assert_allclose(got, gibbs_fold([0, 1, 1], losses, 1.0), rtol=0, atol=1e-12)
         np.testing.assert_array_equal(got, [0.5, 0.5])
 
@@ -100,7 +100,7 @@ def test_lma_weights_match_the_exact_fold(seed, log_ratio, n, reps, atoms, arms,
     runs = rng.integers(atoms, size=(reps, n // run + 1))
     idx = np.repeat(runs, run, axis=1)[:, :n]
     assert (losses.max(axis=1) - losses.min(axis=1)).max() / beta == pytest.approx(math.exp(log_ratio))
-    np.testing.assert_allclose(lma_weights(idx, losses, beta), exact_fold(idx, losses, beta), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lma_weights(idx, losses, beta, (n,))[0], exact_fold(idx, losses, beta), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("spread", [0.25, 20.0])
@@ -115,9 +115,9 @@ def test_a_two_arm_row_is_the_same_alone_and_among_nine_across_re_anchors(spread
     losses[0] = (0.0, spread)
     idx = rng.integers(6, size=(9, 400))
     assert _reanchor_period(spread, 1.0) == (30 if spread == 20.0 else _REANCHOR_MAX)
-    among = lma_weights(idx, losses, 1.0)
+    among = lma_weights(idx, losses, 1.0, (400,))[0]
     for r in (0, 4, 8):
-        np.testing.assert_array_equal(among[r], lma_weights(idx[r : r + 1], losses, 1.0)[0])
+        np.testing.assert_array_equal(among[r], lma_weights(idx[r : r + 1], losses, 1.0, (400,))[0][0])
 
 
 def longdouble_fold(idx, losses, beta):
@@ -154,4 +154,27 @@ def test_re_anchors_round_the_scores_at_the_spread_not_at_the_common_offset():
     losses = beta * (np.array([np.roll(v, a) for a in range(5)]) + np.round(rng.uniform(0.9e4, 1.1e4, (5, 1))))
     assert _reanchor_period(float((losses.max(axis=1) - losses.min(axis=1)).max()), beta) == 600
     idx = np.array([np.concatenate([rng.permutation(5) for _ in range(360)]) for _ in range(3)])
-    np.testing.assert_allclose(lma_weights(idx, losses, beta), longdouble_fold(idx, losses, beta), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        lma_weights(idx, losses, beta, (1800,))[0], longdouble_fold(idx, losses, beta), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_softmins_keep_the_scores_at_one_step_of_spread(seed):
+    """Spread/beta = 700 (K = 1, an exact softmin every step) and offsets of about 1e4 * beta, over 1800 steps.
+
+    The rows less their minima still add up to about n * spread / 2 in
+    each score; subtracting each score row's own minimum at every softmin
+    keeps the scores at the size of one step's spread.  Without it the
+    weights sat 2.5e-13 to 1.7e-12 away from the long-double fold here.
+    """
+    rng = np.random.default_rng(seed)
+    beta = 0.5
+    v = np.sort(rng.uniform(0.0, 1.0, 5))
+    v[0], v[-1] = 0.0, 1.0
+    losses = beta * (700.0 * np.array([np.roll(v, a) for a in range(5)]) + np.round(rng.uniform(0.9e4, 1.1e4, (5, 1))))
+    assert _reanchor_period(float((losses.max(axis=1) - losses.min(axis=1)).max()), beta) == 1
+    idx = np.array([np.concatenate([rng.permutation(5) for _ in range(360)]) for _ in range(3)])
+    np.testing.assert_allclose(
+        lma_weights(idx, losses, beta, (1800,))[0], longdouble_fold(idx, losses, beta), rtol=0, atol=1e-14
+    )

@@ -48,9 +48,9 @@ def test_only_oracles_validates_a_distribution_for_a_loss():
 @pytest.mark.parametrize(
     "kernel, parameters",
     [
-        (lma_weights, ["idx", "losses", "beta"]),
-        (ma_weights, ["idx", "design", "ys", "kind", "betas"]),
-        (erm_totals, ["idx", "losses"]),
+        (lma_weights, ["idx", "losses", "beta", "checkpoints"]),
+        (ma_weights, ["idx", "design", "ys", "kind", "betas", "checkpoints"]),
+        (erm_totals, ["idx", "losses", "checkpoints"]),
         (Schedule, ["beta_at"]),
     ],
     ids=["lma_weights", "ma_weights", "erm_totals", "Schedule"],
@@ -58,7 +58,8 @@ def test_only_oracles_validates_a_distribution_for_a_loss():
 def test_the_batch_kernels_take_no_tuning_parameter(kernel, parameters):
     """Block sizes, re-anchor periods and layouts come from the inputs, never from a knob.
 
-    MA takes unit steps, so its schedule holds temperatures only.
+    MA takes unit steps, so its schedule holds temperatures only.  The
+    checkpoints change what a kernel returns, not how it folds.
     """
     assert list(inspect.signature(kernel).parameters) == parameters
 

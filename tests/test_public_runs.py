@@ -59,12 +59,12 @@ def per_observation_runs(data, spec, dictionary):
     n = len(data)
     idx = np.arange(n)[None, :]
     losses = np.stack([linearized_loss_vector(spec, dictionary, z) for z in data])
-    emp = erm_totals(idx, losses)[0] / n
-    runs = {"lma": lma_weights(idx, losses, BETA)[0], "erm": (int(np.argmin(emp)), float(emp.min()))}
+    emp = erm_totals(idx, losses, (n,))[0][0] / n
+    runs = {"lma": lma_weights(idx, losses, BETA, (n,))[0][0], "erm": (int(np.argmin(emp)), float(emp.min()))}
     if spec.differentiable:
         design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in data])
         ys = np.array([z.y for z in data])
-        runs["ma"] = ma_weights(idx, design, ys, spec.kind, SCHEDULE.betas(n))[0]
+        runs["ma"] = ma_weights(idx, design, ys, spec.kind, SCHEDULE.betas(n), (n,))[0][0]
     return runs
 
 
