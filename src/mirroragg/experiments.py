@@ -239,6 +239,9 @@ class ExperimentConfig:
             raise ValueError(f"n_grid must be nonempty with sample sizes >= 1, got {self.n_grid}")
         if not self.m_grid or any(m < 2 for m in self.m_grid):
             raise ValueError(f"m_grid must be nonempty with dictionary sizes >= 2, got {self.m_grid}")
+        for name, grid in (("n_grid", self.n_grid), ("m_grid", self.m_grid)):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} repeats a size, got {grid}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not self.algorithms:
@@ -306,8 +309,8 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     loss = config.loss
     dist, dictionary = generate_instance(config.generator, m, config.master_seed)
     reported = {_ORACLE_OF[algorithm] for algorithm in config.algorithms}
-    oracle_values = {
-        okind: solve(dictionary, loss, dist).risk_value
+    oracles = {
+        okind: solve(dictionary, loss, dist)
         for okind, solve in (("MS", ms_oracle), ("C", c_oracle))
         if okind in reported
     }
@@ -321,7 +324,7 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     check_margin_range(kind, design)
     losses = loss_values(kind, dist.ys[:, None], design)
     reps = config.replications
-    checkpoints = sorted(set(config.n_grid))
+    checkpoints = sorted(config.n_grid)
     idx = dist.replicate_indices((config.master_seed, _REPLICATE_TAG, m), reps, checkpoints[-1])
 
     def mixture_risks(thetas):
@@ -336,7 +339,8 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
         achieved = np.asarray(achieved, dtype=float)
         mean_risk = float(achieved.mean())
         stderr = float(achieved.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        mean_excess = mean_risk - oracle_values[okind]
+        oracle_value = oracles[okind].risk_value
+        mean_excess = mean_risk - oracle_value
         rows_at[n].append(
             ResultRow(
                 n=n,
@@ -346,7 +350,7 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
                 oracle_kind=okind,
                 mean_excess=mean_excess,
                 stderr=stderr,
-                oracle_value=oracle_values[okind],
+                oracle_value=oracle_value,
                 bound_value=bound,
                 bound_pass=None if bound is None else bool(mean_excess - 2.0 * stderr <= bound),
                 seed=config.master_seed,
@@ -378,7 +382,7 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
             for n, achieved in zip(checkpoints, achieved_at):
                 emit(n, "MA", achieved, okind, 2.0 * math.sqrt(qstar * log_m / n))
         else:
-            vertex_risks = np.array(column_risks(kind, dist, design.T))
+            vertex_risks = np.array(oracles["MS"].arm_risks)
             for n, sums in zip(checkpoints, erm_totals(idx, losses, checkpoints)):
                 emit(n, "ERM", vertex_risks[np.argmin(sums, axis=1)], okind, None)
 

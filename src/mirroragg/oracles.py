@@ -87,23 +87,51 @@ class FiniteDistribution:
         cdf /= cdf[-1]
         return cdf
 
+    @cached_property
+    def _guide(self) -> tuple:
+        """``(B, guide, rounds)`` of ``sample_indices``, ``B`` a power of two, at least 256 and 16 per atom."""
+        cdf = self._cdf
+        buckets = max(256, 1 << (16 * len(cdf) - 1).bit_length())
+        guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+        rounds = int(np.diff(guide, append=len(cdf) - 1).max())
+        return buckets, guide, rounds
+
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. atom indices by inverting the CDF.
 
         Index for index (and with the same use of ``rng``) this is
-        ``rng.choice(len(atoms), size, p=ps)``, without re-validating
-        ``ps`` and rebuilding the CDF on every call.
+        ``rng.choice(len(atoms), size, p=ps)``, which returns
+        ``cdf.searchsorted(u, side="right")`` for ``u = rng.random(size)``.
+        A guide table finds the same index (Chen & Asau 1974).  Its entry
+        ``guide[b]`` is the first index whose CDF entry exceeds ``b / B``.
+        With ``B`` a power of two ``u * B`` is exact, so bucket
+        ``b = floor(u * B)`` has ``b / B <= u < (b + 1) / B``: its entry never
+        passes the answer, and the next bucket's entry (``K - 1`` past the
+        last) is not below it.  So ``rounds`` steps of ``i += cdf[i] <= u``,
+        ``rounds`` the largest gap between neighbouring entries, reach the
+        answer and then stay.  No ``i`` passes the answer, which is below
+        ``K`` because ``cdf[-1] = 1 > u``, so each lookup is in range.
+        Returns ``intp`` indices.
         """
-        return self._cdf.searchsorted(rng.random(size), side="right")
+        buckets, guide, rounds = self._guide
+        u = rng.random(size)
+        i = guide.take((u * buckets).astype(np.intp))
+        for _ in range(rounds):
+            i += self._cdf.take(i) <= u
+        return i
 
     def replicate_indices(self, key, replicates: int, size: int) -> np.ndarray:
         """``(replicates, size)`` atom indices, row ``r`` drawn from ``default_rng([*key, r])``.
 
-        Each replicate has its own stream, so a row does not depend on how
-        many replicates are drawn or in which order.  The array is
-        column-major, so the kernels read each step's atoms contiguously.
+        Row ``r`` is ``sample_indices`` on that stream, so it is exact in
+        the same sense.  Each replicate has its own stream, so a row does
+        not depend on how many replicates are drawn or in which order.  The
+        array is column-major, so the kernels read each step's atoms
+        contiguously, and of the narrowest unsigned dtype that holds every
+        atom index (``np.min_scalar_type(K - 1)``: uint8 up to 256 atoms,
+        uint16 up to 65,536).
         """
-        idx = np.empty((replicates, size), dtype=np.intp, order="F")
+        idx = np.empty((replicates, size), dtype=np.min_scalar_type(len(self.atoms) - 1), order="F")
         for r in range(replicates):
             idx[r] = self.sample_indices(np.random.default_rng([*key, r]), size)
         return idx
@@ -121,12 +149,16 @@ class RiskReport:
     ``oracle_kind`` is ``"MS"`` (selection over the dictionary, minimizer
     is an index, certificate 0 by enumeration) or ``"C"`` (convex hull,
     minimizer is a weight vector, certificate is the vertex gap at it).
+    ``arm_risks`` holds the exact risk of every dictionary function, as
+    the selection oracle enumerated them; the convex oracle leaves it
+    empty.
     """
 
     risk_value: float
     oracle_kind: str
     minimizer: object
     gap_certificate: float
+    arm_risks: tuple = ()
 
 
 class ConvergenceError(RuntimeError):
@@ -182,7 +214,7 @@ def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) 
     """
     risks = column_risks(spec.kind, dist, atom_design(dictionary, spec, dist).T)
     j = int(np.argmin(risks))
-    return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0)
+    return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0, arm_risks=tuple(risks))
 
 
 def _risk_closures(design, kind, dist):

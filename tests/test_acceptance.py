@@ -167,6 +167,11 @@ def test_criterion_04_boosting_temperature_and_concavity():
     )
 
 
+# Known limit of the hinge certificate: the vertex gap fixes slope 1 at a zero
+# margin, so it cannot certify a minimizer on a kink off the vertices.  On two
+# arms at +-2 with P(y = +1) = 0.6 the solver reaches the exact minimizer
+# (0.75, 0.25), yet reports gap 0.2 and raises ConvergenceError.  The instances
+# below keep their dictionary values in [-1, 1], where the risk is affine.
 def test_criterion_05_hinge_oracles_coincide():
     worst = 0.0
     for i in range(50):

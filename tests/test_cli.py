@@ -200,6 +200,15 @@ seed = 5
         assert proc.returncode == 2
         assert "missing required" in proc.stderr
 
+    @pytest.mark.parametrize("grid", ["n_grid = 4 8 4", "m_grid = 2 2"])
+    def test_a_repeated_grid_size_is_a_config_error(self, tmp_path, grid):
+        key = grid.split(" =")[0]
+        text = "\n".join(grid if line.startswith(key) else line for line in RUN_CONFIG.splitlines()) + "\n"
+        config = write_config(tmp_path, text)
+        proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert f"{key} repeats a size" in proc.stderr
+
     def test_kappa_below_one_is_a_config_error(self, tmp_path):
         text = RUN_CONFIG.replace(
             "family = bounded_regression", "family = margin_classification\nmargin_exponent = 0.5"

@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestRunCell:
         config = small_config(algorithms=("MA",), n_grid=(16,), m_grid=(4,), replications=5)
         rows = run_cell(config, 16, 4)
         assert [(row.algorithm, row.oracle_kind) for row in rows] == [("MA", "C")]
+
+    def test_erm_reads_the_selection_oracles_arm_risks(self, monkeypatch):
+        """ERM maps each replicate's pick to the risk ``ms_oracle`` enumerated, with no second per-arm pass."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ERM-only cell evaluated exact risks itself")
+
+        def marked_arm_risks(*args):
+            return replace(ms_oracle(*args), arm_risks=(7.0,) * 4)
+
+        monkeypatch.setattr(experiments, "column_risks", refuse)
+        monkeypatch.setattr(experiments, "ms_oracle", marked_arm_risks)
+        config = small_config(algorithms=("ERM",), n_grid=(16,), m_grid=(4,), replications=5)
+        [row] = run_cell(config, 16, 4)
+        assert row.mean_excess == 7.0 - row.oracle_value
 
     def test_a_constant_ma_schedule_runs_every_step_at_ma_beta0(self, monkeypatch):
         seen = []
@@ -457,6 +473,10 @@ class TestDefaults:
             small_config(m_grid=(1,))
         with pytest.raises(ValueError, match="unknown algorithms"):
             small_config(algorithms=("SGD",))
+        with pytest.raises(ValueError, match="n_grid repeats"):
+            small_config(n_grid=(8, 16, 8))
+        with pytest.raises(ValueError, match="m_grid repeats"):
+            small_config(m_grid=(2, 2))
 
 
 def test_run_cell_warns_once_per_cell_on_margin_values_outside_the_unit_range(monkeypatch):

@@ -55,7 +55,20 @@ class TestDistribution:
         b = dist.sample(np.random.default_rng(5), 20)
         assert a == b
 
-    @pytest.mark.parametrize("atoms", [1, 2, 7, 64])
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            1,
+            2,
+            7,
+            64,
+            # three tail atoms share the table's last bucket, so several
+            # correction rounds are needed
+            pytest.param(128, id="128-tail-in-one-bucket"),
+            # uint16 replicate indices and an 8192-bucket table
+            pytest.param(300, id="300-wide"),
+        ],
+    )
     def test_index_draws_equal_generator_choice(self, atoms):
         # skewed weights: a Dirichlet with small concentration puts most
         # mass on a few atoms and leaves some nearly empty
@@ -70,6 +83,47 @@ class TestDistribution:
                 assert drawn.dtype == expected.dtype
                 # both consumed the stream alike, so later draws agree too
                 assert ours.random() == numpy_choice.random()
+
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            np.full(32, 1 / 32),  # every CDF entry sits on a bucket edge
+            np.array([1 - 3e-6, 1e-6, 1e-6, 1e-6]),  # the three tail atoms share one bucket
+            np.random.default_rng(128).dirichlet(np.full(128, 0.2)),
+            np.random.default_rng(5).dirichlet(np.ones(300)),
+        ],
+        ids=["uniform-32", "tail-in-one-bucket", "dirichlet-128", "dirichlet-300"],
+    )
+    def test_index_draws_invert_the_cdf_at_its_edges(self, ps):
+        """Chosen uniforms: 0, every bucket edge of any table up to 2**14
+        buckets, each CDF entry and its neighbours, and the largest double
+        below 1.  Each index is ``cdf.searchsorted(u, side="right")``."""
+        dist = FiniteDistribution([atom(a, 0.0, float(p)) for a, p in enumerate(ps / ps.sum())])
+        # the CDF of Generator.choice: cumulative sums over their last entry
+        cdf = dist.ps.cumsum()
+        cdf /= cdf[-1]
+        near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.arange(2**14) / 2**14, near[near < 1.0]])
+
+        class ChosenUniforms:
+            def random(self, size):
+                assert size == len(u)
+                return u.copy()
+
+        drawn = dist.sample_indices(ChosenUniforms(), len(u))
+        np.testing.assert_array_equal(drawn, cdf.searchsorted(u, side="right"))
+        assert drawn.dtype == np.intp
+
+    @pytest.mark.parametrize("atoms, dtype", [(32, np.uint8), (256, np.uint8), (300, np.uint16)])
+    def test_replicate_rows_are_per_replicate_draws_in_the_narrowest_dtype(self, atoms, dtype):
+        ps = np.random.default_rng(atoms).dirichlet(np.ones(atoms))
+        dist = FiniteDistribution([atom(a, 0.0, float(p)) for a, p in enumerate(ps / ps.sum())])
+        key = (3, 5, 17)
+        idx = dist.replicate_indices(key, 6, 500)
+        assert idx.dtype == dtype
+        assert idx.shape == (6, 500) and idx.flags.f_contiguous
+        for r in range(6):
+            np.testing.assert_array_equal(idx[r], dist.sample_indices(np.random.default_rng([*key, r]), 500))
 
 
 class TestExactRisk:
@@ -140,6 +194,7 @@ class TestSelectionOracle:
         risks = [exact_risk(j, dic, spec, dist) for j in range(64)]
         assert report.risk_value == min(risks)
         assert report.minimizer == int(np.argmin(risks))
+        assert report.arm_risks == tuple(risks)
 
 
 class TestConvexOracle:
@@ -162,6 +217,8 @@ class TestConvexOracle:
         assert convex.risk_value == pytest.approx(0.0, abs=1e-12)
         assert_allclose(convex.minimizer, [0.5, 0.5], atol=1e-5)
         assert convex.gap_certificate <= 1e-8
+        assert selection.arm_risks == (1.0, 1.0)
+        assert convex.arm_risks == ()
 
     def test_never_above_selection_oracle(self):
         rng = np.random.default_rng(19)
