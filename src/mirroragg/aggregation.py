@@ -166,8 +166,9 @@ class Schedule:
 class AggregatorState:
     """State of one aggregation run after ``step`` unit steps.
 
-    ``weighted_sum`` accumulates ``theta_bar_{i-1}`` over the steps, so the
-    averaged output is ``weighted_sum / step``.
+    ``weighted_sum`` accumulates ``theta_bar_{i-1}`` over the steps; the
+    averaged output is ``weighted_sum`` divided by its own sum, which is
+    ``step`` up to rounding.
     """
 
     step: int
@@ -225,7 +226,7 @@ def ma_step(
 
 
 def averaged_weights(state: AggregatorState) -> np.ndarray:
-    """Averaged output ``weighted_sum / step``; undefined before step 1."""
+    """Averaged output: ``weighted_sum`` renormalised to sum to one; undefined before step 1."""
     if state.step < 1:
         raise ValueError("averaged output is undefined before the first step")
     return renormalize(state.weighted_sum)

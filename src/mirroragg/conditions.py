@@ -16,9 +16,13 @@ from the margin-loss criterion ``(phi')^2 <= beta * phi''``
 (``nice_beta_report``).
 
 Verdicts follow one convention: "satisfied" needs the estimate plus two
-standard errors at or below zero (for the concavity check: every secant
-slack finite and none failing), "violated" needs the opposite with the
-same margin (a finite failing slack), and anything else is "inconclusive".
+standard errors at or below zero (for the concavity check: no secant
+failing), "violated" needs the opposite with the same margin (a failing
+secant), and anything else is "inconclusive".  The concavity secants are
+decided in log space, so a map that overflows float64 still gets a verdict.
+Moment replicate ``r`` is drawn from ``[seed, 6, r]`` and the concavity
+pairs from ``[seed, 7]``: tags that are no instance family code (1 to 4)
+nor the benchmark replicate tag (5), so no two streams coincide.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import lma_weights
-from .losses import LossSpec, PHI_EXPONENTIAL, PHI_LOGIT2, loss_values, minimal_nice_beta
+from .losses import QUOTED_NICE_BETAS, LossSpec, loss_values, minimal_nice_beta
 from .oracles import FiniteDistribution, atom_design
 from .simplex import Dictionary, require_positive, uniform_weights, validate_weights
 
@@ -47,11 +51,10 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 SECANT_SLACK = 1e-12
-
-QUOTED_NICE_BETAS = {
-    PHI_EXPONENTIAL: math.e,
-    PHI_LOGIT2: math.e * math.log(2.0),
-}
+# floor of the secant tolerance relative to the largest h of a pair
+_SECANT_ROUNDOFF = 4.0 * np.finfo(float).eps
+_MOMENT_TAG = 6
+_CONCAVITY_TAG = 7
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,8 @@ def check_nice_loss(
 
     exactly (a finite sum in log space).  The estimate is the replicate
     mean; its sign, resolved at two standard errors, gives the verdict.
-    Replicate streams are pre-seeded by ``(seed, r)``, so the result does
-    not depend on execution order.
+    Replicate ``r`` is drawn from ``[seed, 6, r]``, so the result does not
+    depend on execution order.
     """
     if mc_outer < 100:
         raise ValueError(f"mc_outer must be at least 100, got {mc_outer}")
@@ -116,7 +119,7 @@ def check_nice_loss(
     require_positive("beta", beta)
     design = atom_design(dictionary, spec, dist)
     # each replicate's last draw is its test observation
-    idx = dist.replicate_indices((seed,), mc_outer, n + 1)
+    idx = dist.replicate_indices((seed, _MOMENT_TAG), mc_outer, n + 1)
     test_idx = idx[:, n]
     losses = loss_values(spec.kind, dist.ys[:, None], design)
     thetas = lma_weights(idx[:, :n], losses, beta, (n,))[0]
@@ -168,13 +171,16 @@ def check_exp_map_concavity(
 ) -> ConditionVerdict:
     """Secant test of concavity of ``theta -> E exp((Q(ref) - Q(theta)) / beta)``.
 
-    Draws ``trials`` random weight pairs from the flat Dirichlet and tests
-    the midpoint inequality ``h(mid) >= (h(a) + h(b)) / 2`` with a small
-    slack for roundoff.  ``h`` is an exact finite sum over atoms, so the
-    only randomness is the choice of pairs: any failing pair certifies
-    non-concavity, and the first one found is returned as the witness.
-    When ``h`` overflows at some pair and no finite pair fails, the verdict
-    is "inconclusive".
+    Draws ``trials`` random weight pairs from the flat Dirichlet (stream
+    ``[seed, 7]``) and tests the midpoint inequality
+    ``h(mid) >= (h(a) + h(b)) / 2``.  ``h`` is an exact finite sum over
+    atoms, so the only randomness is the choice of pairs: any failing pair
+    certifies non-concavity, and the first one found is returned as the
+    witness.  A pair is decided in log space, its three ``h`` scaled by
+    ``exp(-s)`` for ``s`` its largest ``log h``, so ``h`` may overflow
+    float64; it fails when the scaled slack is below
+    ``-max(1e-12 * exp(-s), 4 eps)``.  The estimate is the most negative
+    slack, ``-inf`` past the float64 range.
 
     ``mixture_loss`` replaces the per-atom loss of the mixture predictor
     with an arbitrary batch map (used for the linear surrogate control);
@@ -197,29 +203,32 @@ def check_exp_map_concavity(
     ref_losses = mixture_loss(theta_ref[None, :])[0]
     ps = dist.ps
 
-    def h(thetas: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return (ps[None, :] * np.exp((ref_losses[None, :] - mixture_loss(thetas)) / beta)).sum(axis=1)
+    def log_h(thetas: np.ndarray) -> np.ndarray:
+        exponents = (ref_losses[None, :] - mixture_loss(thetas)) / beta
+        top = exponents.max(axis=1)
+        return top + np.log((ps[None, :] * np.exp(exponents - top[:, None])).sum(axis=1))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, _CONCAVITY_TAG])
     pairs = rng.dirichlet(np.ones(m), size=(trials, 2))
     first = pairs[:, 0, :]
     second = pairs[:, 1, :]
-    h_first = h(first)
-    h_second = h(second)
-    h_mid = h(0.5 * (first + second))
-    with np.errstate(invalid="ignore"):
-        slack = h_mid - 0.5 * (h_first + h_second)
+    logs = np.stack([log_h(first), log_h(second), log_h(0.5 * (first + second))])
+    s = logs.max(axis=0)
+    h_first, h_second, h_mid = np.exp(logs - s)
+    scaled = h_mid - 0.5 * (h_first + h_second)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tolerance = np.maximum(SECANT_SLACK * np.exp(-s), _SECANT_ROUNDOFF)
+        # a flat secant has zero slack at any scale, not 0 * inf
+        slack = np.where(scaled == 0.0, 0.0, scaled * np.exp(s))
     worst = int(np.argmin(slack))
-    # an overflowed h gives an infinite or nan slack, which certifies nothing
-    finite = np.isfinite(slack)
-    violations = finite & (slack < -SECANT_SLACK)
+    # a nonfinite loss makes a nan slack, which certifies nothing
+    violations = scaled < -tolerance
     witness = None
     if violations.any():
         witness_idx = int(np.argmax(violations))
         verdict = VIOLATED
         witness = (first[witness_idx].copy(), second[witness_idx].copy())
-    elif finite.all():
+    elif np.isfinite(scaled).all():
         verdict = SATISFIED
     else:
         verdict = INCONCLUSIVE

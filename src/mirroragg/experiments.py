@@ -35,15 +35,15 @@ import numpy as np
 
 from .aggregation import Schedule, erm_totals, lma_weights, ma_weights
 from .losses import (
+    QUOTED_NICE_BETAS,
     LabeledSample,
     LossSpec,
-    PHI_EXPONENTIAL,
     PHI_HINGE,
-    PHI_LOGIT2,
     SQUARED,
     check_margin_range,
     gradient_second_moment_bound,
     loss_values,
+    minimal_nice_beta,
 )
 from .oracles import FiniteDistribution, atom_design, c_oracle, column_risks, ms_oracle
 from .simplex import TabularDictionary, require_positive
@@ -197,17 +197,15 @@ def default_lma_betas(spec: LossSpec, range_bound: float) -> tuple[float, ...]:
     """Documented default temperatures for the linearized algorithm.
 
     Squared loss: ``4 * (y_bound + B)^2``, twice the concavity threshold of
-    the exponential-map criterion.  Exponential: ``e``.  Base-2 logistic:
-    both quoted constants (``e * ln 2`` and ``e / ln 2``), producing one
-    result row each.  Hinge has no documented constant and requires an
-    explicit temperature.
+    the exponential-map criterion.  Exponential and base-2 logistic: the
+    quoted minimal nice temperature, then the computed one unless equal
+    (``e``; ``e * ln 2`` and ``e / ln 2``), producing one result row each.
+    Hinge has no documented constant and requires an explicit temperature.
     """
     if spec.kind == SQUARED:
         return (4.0 * (spec.y_bound + range_bound) ** 2,)
-    if spec.kind == PHI_EXPONENTIAL:
-        return (math.e,)
-    if spec.kind == PHI_LOGIT2:
-        return (math.e * math.log(2.0), math.e / math.log(2.0))
+    if spec.kind in QUOTED_NICE_BETAS:
+        return tuple(dict.fromkeys((QUOTED_NICE_BETAS[spec.kind], minimal_nice_beta(spec.kind))))
     raise ValueError(f"no default temperature for {spec.kind!r}; set lma_beta explicitly")
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "linearized_loss_vector",
     "gradient_second_moment_bound",
     "minimal_nice_beta",
+    "QUOTED_NICE_BETAS",
     "phi_derivatives",
 ]
 
@@ -242,6 +243,13 @@ def phi_derivatives(kind: str, x):
         s = _expit(x)
         return s / _LN2, s * (1.0 - s) / _LN2
     raise ValueError(f"loss kind {kind!r} is not twice differentiable")
+
+
+# the minimal nice temperature commonly quoted for each margin loss
+QUOTED_NICE_BETAS = {
+    PHI_EXPONENTIAL: math.e,
+    PHI_LOGIT2: math.e * _LN2,
+}
 
 
 def minimal_nice_beta(kind: str) -> float:

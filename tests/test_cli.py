@@ -209,6 +209,12 @@ seed = 5
         assert proc.returncode == 2
         assert f"{key} repeats a size" in proc.stderr
 
+    def test_unknown_loss_is_a_config_error(self, tmp_path):
+        config = write_config(tmp_path, RUN_CONFIG.replace("loss = squared", "loss = cubic"))
+        proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "unknown loss kind 'cubic'" in proc.stderr
+
     def test_kappa_below_one_is_a_config_error(self, tmp_path):
         text = RUN_CONFIG.replace(
             "family = bounded_regression", "family = margin_classification\nmargin_exponent = 0.5"
@@ -234,8 +240,12 @@ seed = 5
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["workers"] == (expected[0] if expected else 1)
 
-    def test_largest_dictionary_sizes_are_submitted_first_and_rows_keep_grid_order(self, tmp_path, monkeypatch, capsys):
-        config = write_config(tmp_path, RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 4 3"))
+    @pytest.mark.parametrize("n_grid", [(4, 8), (8, 4)], ids=["sorted", "unsorted"])
+    def test_largest_dictionary_sizes_are_submitted_first_and_rows_keep_grid_order(
+        self, tmp_path, monkeypatch, capsys, n_grid
+    ):
+        text = RUN_CONFIG.replace("m_grid = 2", "m_grid = 2 4 3").replace("n_grid = 4 8", "n_grid = %d %d" % n_grid)
+        config = write_config(tmp_path, text)
         serial = tmp_path / "serial"
         assert cli.main(["run", "--config", config, "--out", str(serial)]) == 0
         serial_stdout = capsys.readouterr().out
@@ -244,11 +254,10 @@ seed = 5
         pooled = tmp_path / "pooled"
         assert cli.main(["run", "--config", config, "--out", str(pooled), "--jobs", "2"]) == 0
         pooled_stdout = capsys.readouterr().out
-        # cost n_max * (M + 16), one unit per M
         assert submitted == [4, 3, 2]
         rows = (pooled / "results.csv").read_text().splitlines()[2:]
         cells = [tuple(int(v) for v in row.split(",")[:2]) for row in rows]
-        grid = [(4, 2), (4, 4), (4, 3), (8, 2), (8, 4), (8, 3)]
+        grid = [(n, m) for n in n_grid for m in (2, 4, 3)]
         assert cells == [cell for cell in grid for _ in range(3)]
         assert (pooled / "results.csv").read_bytes() == (serial / "results.csv").read_bytes()
         progress = [line for line in pooled_stdout.splitlines() if line.startswith("cell ")]
@@ -281,8 +290,13 @@ class TestCheckConditionsCommand:
 
     @pytest.mark.parametrize(
         "line, bad",
-        [("mc_outer = 150", "mc_outer = 50"), ("trials = 1000", "trials = 10"), ("betas = 16 0.16", "betas = -1")],
-        ids=["mc_outer", "trials", "betas"],
+        [
+            ("mc_outer = 150", "mc_outer = 50"),
+            ("trials = 1000", "trials = 10"),
+            ("betas = 16 0.16", "betas = -1"),
+            ("loss = squared", "loss = cubic"),
+        ],
+        ids=["mc_outer", "trials", "betas", "loss"],
     )
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, line, bad):
         config = write_config(tmp_path, CONDITIONS_CONFIG.replace(line, bad))

@@ -17,6 +17,7 @@ from mirroragg import (
     nice_beta_report,
     surrogate_mixture_loss,
 )
+from mirroragg.oracles import atom_design
 
 SQUARED = LossSpec("squared", y_bound=1.0)
 EXPONENTIAL = LossSpec("phi_exponential")
@@ -154,10 +155,11 @@ class TestConcavityCheck:
         assert h(0.5 * (a + b)) < 0.5 * (h(a) + h(b))
 
     def test_an_overflowing_map_is_never_satisfied(self):
-        """At beta = 1e-3 the map overflows: inf - inf is a nan slack, which proves nothing.
+        """At beta = 1e-3 the map overflows float64, and the secants are decided in log space.
 
         The reference is the vertex of the arm with the largest exact risk,
-        so almost every pair's exponent runs past 709.
+        so almost every pair's exponent runs past 709.  The witness must
+        fail the midpoint secant when ``log h`` is evaluated directly.
         """
         dist, dictionary = generate_instance(GeneratorSpec("phi_classification", grid_size=8), 6, 1)
         risks = [exact_risk(j, dictionary, EXPONENTIAL, dist) for j in range(6)]
@@ -165,9 +167,18 @@ class TestConcavityCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = check_exp_map_concavity(EXPONENTIAL, dictionary, dist, 1e-3, theta_ref=theta_ref, trials=1000, seed=1)
-        assert verdict.verdict == "inconclusive"
-        assert verdict.witness is None
+        assert verdict.verdict == "violated"
+        assert verdict.witness is not None
         assert not math.isfinite(verdict.estimate)
+
+        design = atom_design(dictionary, EXPONENTIAL, dist)
+
+        def log_h(theta):
+            exponents = (np.exp(-dist.ys * (design @ theta_ref)) - np.exp(-dist.ys * (design @ theta))) / 1e-3
+            return np.logaddexp.reduce(np.log(dist.ps) + exponents)
+
+        a, b = verdict.witness
+        assert log_h(0.5 * (a + b)) < np.logaddexp(log_h(a), log_h(b)) - math.log(2.0)
 
     def test_identical_arms_make_the_map_constant(self):
         values = np.array([[0.2, -0.6], [0.2, -0.6]])

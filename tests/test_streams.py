@@ -93,11 +93,6 @@ def test_every_stream_of_a_run_is_its_own_and_none_is_a_condition_check_stream(k
     assert shared == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the concavity pairs (default_rng(seed)) share moment replicate 0's stream [seed, 0]; "
-    "re-keying them moves a verdict that waits on the log-space concavity test (ROADMAP item 9)",
-)
 def test_every_stream_of_a_condition_check_is_its_own(keys):
     _, conditions = keys
     draws = [first_draw(key) for key in conditions]
