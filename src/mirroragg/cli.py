@@ -125,13 +125,17 @@ def _get_present(resolved: dict, section: str, convs: dict) -> dict:
     return {key: _get(resolved, f"{section}.{key}", conv) for key, conv in convs.items() if f"{section}.{key}" in resolved}
 
 
+def _spec(section: str, cls, **values):
+    """``cls(**values)``, its ``ValueError`` a ``ConfigError`` prefixed with ``[section]``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def _get_loss(resolved, section) -> LossSpec:
     kind = _get(resolved, f"{section}.loss")
-    options = _get_present(resolved, section, {"y_bound": float})
-    try:
-        return LossSpec(kind=kind, **options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _spec(section, LossSpec, kind=kind, **_get_present(resolved, section, {"y_bound": float}))
 
 
 def _get_generator(resolved: dict) -> GeneratorSpec:
@@ -139,10 +143,7 @@ def _get_generator(resolved: dict) -> GeneratorSpec:
     options = _get_present(
         resolved, "generator", {"grid_size": int, "noise_level": float, "margin_exponent": float, "tie_gap": float}
     )
-    try:
-        return GeneratorSpec(family=family, **options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _spec("generator", GeneratorSpec, family=family, **options)
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> tuple[ExperimentConfig, dict]:

@@ -90,6 +90,12 @@ def _verdict_from_estimate(estimate: float, std_error: float) -> str:
     return INCONCLUSIVE
 
 
+def _log_weighted_sum_exp(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-wise ``log sum_j weights_j exp(a_j)``, with the row maximum of ``a`` factored out."""
+    top = a.max(axis=1)
+    return top + np.log((weights * np.exp(a - top[:, None])).sum(axis=1))
+
+
 def check_nice_loss(
     spec: LossSpec,
     dictionary: Dictionary,
@@ -126,10 +132,7 @@ def check_nice_loss(
     test_values = design[test_idx]
     test_ys = dist.ys[test_idx]
     q_mix = loss_values(spec.kind, test_ys, (thetas * test_values).sum(axis=1))
-    # log sum_j theta_j e^{a_j}, with the row maximum of a factored out
-    a = (q_mix[:, None] - losses[test_idx]) / beta
-    a_max = a.max(axis=1)
-    vals = a_max + np.log((thetas * np.exp(a - a_max[:, None])).sum(axis=1))
+    vals = _log_weighted_sum_exp(thetas, (q_mix[:, None] - losses[test_idx]) / beta)
     estimate = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(mc_outer))
     return ConditionVerdict(
@@ -201,12 +204,9 @@ def check_exp_map_concavity(
             return loss_values(spec.kind, dist.ys[None, :], thetas @ design.T)
 
     ref_losses = mixture_loss(theta_ref[None, :])[0]
-    ps = dist.ps
 
     def log_h(thetas: np.ndarray) -> np.ndarray:
-        exponents = (ref_losses[None, :] - mixture_loss(thetas)) / beta
-        top = exponents.max(axis=1)
-        return top + np.log((ps[None, :] * np.exp(exponents - top[:, None])).sum(axis=1))
+        return _log_weighted_sum_exp(dist.ps, (ref_losses - mixture_loss(thetas)) / beta)
 
     rng = np.random.default_rng([seed, _CONCAVITY_TAG])
     pairs = rng.dirichlet(np.ones(m), size=(trials, 2))

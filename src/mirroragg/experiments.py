@@ -115,15 +115,14 @@ class GeneratorSpec:
 
 
 def _regression_atoms(x_values, means, sigma):
-    atoms = []
-    k = len(means)
-    if sigma == 0.0:
-        for x, mu in zip(x_values, means):
-            atoms.append((LabeledSample(x, float(np.clip(mu, -1.0, 1.0))), 1.0 / k))
-    else:
-        for x, mu in zip(x_values, means):
-            atoms.append((LabeledSample(x, float(np.clip(mu + sigma, -1.0, 1.0))), 0.5 / k))
-            atoms.append((LabeledSample(x, float(np.clip(mu - sigma, -1.0, 1.0))), 0.5 / k))
+    shifts = (0.0,) if sigma == 0.0 else (sigma, -sigma)
+    # 1 / (k * len(shifts)) is the same float as 1 / k and 0.5 / k
+    p = 1.0 / (len(means) * len(shifts))
+    atoms = [
+        (LabeledSample(x, float(np.clip(mu + shift, -1.0, 1.0))), p)
+        for x, mu in zip(x_values, means)
+        for shift in shifts
+    ]
     return FiniteDistribution(tuple(atoms))
 
 
@@ -434,20 +433,16 @@ def verify_bound(rows: Sequence[ResultRow], bound: str) -> BoundCheck:
     convex oracle.  A row passes when its mean excess minus two standard
     errors is at most the bound value.
     """
-    if bound == "lma":
-        picked = [
-            row
-            for row in rows
-            if row.algorithm.startswith("LMA") and row.oracle_kind == "MS" and row.bound_value is not None
-        ]
-    elif bound == "ma":
-        picked = [
-            row
-            for row in rows
-            if row.algorithm == "MA" and row.oracle_kind == "C" and row.bound_value is not None
-        ]
-    else:
+    family = {"lma": "LMA", "ma": "MA"}.get(bound)
+    if family is None:
         raise ValueError(f"unknown bound {bound!r}; expected 'lma' or 'ma'")
+    picked = [
+        row
+        for row in rows
+        if row.algorithm.split("@")[0] == family
+        and row.oracle_kind == _ORACLE_OF[family]
+        and row.bound_value is not None
+    ]
     if not picked:
         raise ValueError(f"no rows carry the {bound!r} bound")
     failures = tuple(

@@ -162,7 +162,10 @@ class RiskReport:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the convex oracle cannot certify the requested gap."""
+    """Raised when the convex oracle cannot certify the requested gap.
+
+    ``best_weights`` is the last, lowest-risk iterate, ``best_risk`` its risk, ``gap`` its own vertex gap.
+    """
 
     def __init__(self, message: str, best_weights: np.ndarray, best_risk: float, gap: float):
         super().__init__(message)
@@ -245,11 +248,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _vertex_gap(theta: np.ndarray, g: np.ndarray) -> float:
-    """Certified suboptimality bound ``theta . g - min_j g_j`` of a convex risk."""
-    return float(theta @ g - g.min())
-
-
 def _minimize(risk, grad, m, tol, max_iter):
     """Accelerated projected gradient with backtracking and restarts.
 
@@ -259,7 +257,9 @@ def _minimize(risk, grad, m, tol, max_iter):
     gap settle below the certification tolerance.  ``grad`` may be a
     subgradient (hinge): the steps are then only a heuristic, and the
     vertex gap alone decides success.  Returns ``(theta, gap)`` once
-    ``gap <= tol``, else raises ``ConvergenceError`` with the best iterate.
+    ``gap <= tol``, else raises ``ConvergenceError`` with the last iterate,
+    its risk and its own gap.  ``theta`` only moves to a candidate of no
+    larger risk, so the last iterate has the lowest risk any reached.
     """
     accel_phase = min(2000, max_iter)
     theta = uniform_weights(m)
@@ -267,7 +267,6 @@ def _minimize(risk, grad, m, tol, max_iter):
     t_acc = 1.0
     lips = 1.0
     f_theta = risk(theta)
-    best_theta, best_f, best_gap = theta, f_theta, math.inf
     for it in range(max_iter):
         accelerated = it < accel_phase
         point = momentum if accelerated else theta
@@ -293,9 +292,7 @@ def _minimize(risk, grad, m, tol, max_iter):
         elif f_cand <= f_theta:
             theta, f_theta = cand, f_cand
         g_theta = grad(theta)
-        gap = _vertex_gap(theta, g_theta)
-        if f_theta < best_f or gap < best_gap:
-            best_theta, best_f, best_gap = theta, f_theta, min(gap, best_gap)
+        gap = float(theta @ g_theta - g_theta.min())
         if gap <= tol:
             return theta, gap
         if it % 50 == 49:
@@ -303,10 +300,10 @@ def _minimize(risk, grad, m, tol, max_iter):
             lips = max(lips * 0.5, 1e-12)
     raise ConvergenceError(
         f"convex oracle failed to certify gap <= {tol:g} within {max_iter} iterations "
-        f"(best certified gap {best_gap:g})",
-        best_weights=best_theta,
-        best_risk=best_f,
-        gap=best_gap,
+        f"(gap {gap:g} at the last iterate)",
+        best_weights=theta,
+        best_risk=f_theta,
+        gap=gap,
     )
 
 
@@ -324,7 +321,8 @@ def c_oracle(
     the vertex gap at the exact risk gradient (for the hinge loss, the
     subgradient with slope 1 at a zero margin); on success the certificate
     is at most ``tol``.  Failure to certify within ``max_iter`` iterations,
-    whatever the loss, raises ``ConvergenceError`` carrying the best iterate.
+    whatever the loss, raises ``ConvergenceError`` carrying the last iterate,
+    its risk and its own vertex gap.
     """
     require_positive("tol", tol)
     if max_iter < 1:

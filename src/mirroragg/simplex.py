@@ -142,7 +142,8 @@ def mixture_value(theta, dictionary: "Dictionary", x) -> float:
 class Dictionary:
     """Finite dictionary of real-valued functions with a declared range bound.
 
-    Subclasses provide ``evaluate``; ``values_at`` has a generic fallback.
+    Subclasses call ``__init__(size, range_bound)``, the one check of the
+    range bound, and provide ``evaluate``; ``values_at`` has a generic fallback.
     Evaluations must be deterministic and bounded by ``range_bound`` in
     absolute value, and equal at design points that compare equal: the
     public runs call ``values_at`` once per distinct observation and let
@@ -151,6 +152,12 @@ class Dictionary:
 
     size: int
     range_bound: float
+
+    def __init__(self, size: int, range_bound: float):
+        if not np.isfinite(range_bound) or range_bound < 0.0:
+            raise ValueError(f"range_bound must be a finite nonnegative number, got {range_bound!r}")
+        self.size = size
+        self.range_bound = float(range_bound)
 
     def evaluate(self, j: int, x) -> float:
         raise NotImplementedError
@@ -172,16 +179,13 @@ class TabularDictionary(Dictionary):
             raise ValueError(f"values must be a nonempty (M, K) table, got shape {table.shape}")
         if not np.all(np.isfinite(table)):
             raise ValueError("dictionary values must be finite")
-        if not np.isfinite(range_bound) or range_bound < 0.0:
-            raise ValueError(f"range_bound must be a finite nonnegative number, got {range_bound!r}")
+        super().__init__(table.shape[0], range_bound)
         if table.size and np.max(np.abs(table)) > range_bound:
             raise ValueError(
                 f"dictionary values exceed declared range bound {range_bound!r}"
             )
         self.values = table
-        self.size = table.shape[0]
         self.grid_size = table.shape[1]
-        self.range_bound = float(range_bound)
 
     def _column(self, x) -> int:
         # indexing with int(x) alone reads x = -1 as the last point and 2.7 as point 2
@@ -208,11 +212,8 @@ class CallableDictionary(Dictionary):
         funcs = list(funcs)
         if not funcs:
             raise ValueError("dictionary needs at least one function")
-        if not np.isfinite(range_bound) or range_bound < 0.0:
-            raise ValueError(f"range_bound must be a finite nonnegative number, got {range_bound!r}")
+        super().__init__(len(funcs), range_bound)
         self._funcs = funcs
-        self.size = len(funcs)
-        self.range_bound = float(range_bound)
         self._check = bool(check)
 
     def evaluate(self, j: int, x) -> float:

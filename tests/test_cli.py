@@ -213,7 +213,7 @@ seed = 5
         config = write_config(tmp_path, RUN_CONFIG.replace("loss = squared", "loss = cubic"))
         proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert "unknown loss kind 'cubic'" in proc.stderr
+        assert "config error: [experiment] unknown loss kind 'cubic'" in proc.stderr
 
     def test_kappa_below_one_is_a_config_error(self, tmp_path):
         text = RUN_CONFIG.replace(
@@ -222,7 +222,7 @@ seed = 5
         config = write_config(tmp_path, text)
         proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert ">= 1" in proc.stderr
+        assert "config error: [generator] margin_exponent (kappa) must be >= 1" in proc.stderr
 
     @pytest.mark.parametrize(
         "jobs, cpus, expected",
@@ -289,19 +289,19 @@ class TestCheckConditionsCommand:
         assert verdicts[("0.16", "exp_moment")] == "violated"
 
     @pytest.mark.parametrize(
-        "line, bad",
+        "line, bad, message",
         [
-            ("mc_outer = 150", "mc_outer = 50"),
-            ("trials = 1000", "trials = 10"),
-            ("betas = 16 0.16", "betas = -1"),
-            ("loss = squared", "loss = cubic"),
+            ("mc_outer = 150", "mc_outer = 50", "config error"),
+            ("trials = 1000", "trials = 10", "config error"),
+            ("betas = 16 0.16", "betas = -1", "config error"),
+            ("loss = squared", "loss = cubic", "config error: [conditions] unknown loss kind 'cubic'"),
         ],
         ids=["mc_outer", "trials", "betas", "loss"],
     )
-    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, line, bad):
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, line, bad, message):
         config = write_config(tmp_path, CONDITIONS_CONFIG.replace(line, bad))
         assert cli.main(["check-conditions", "--config", config, "--quiet"]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [(), ("--seed", "-1")], ids=["config", "flag"])
     def test_negative_seed_is_a_config_error_naming_key_and_value(self, tmp_path, capsys, override):

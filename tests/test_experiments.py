@@ -389,6 +389,71 @@ class TestBatchEngines:
                 assert_allclose(among, single, rtol=0, atol=1e-12)
 
 
+class TestExpectedExcessByEnumeration:
+    """The grid's mean excess estimates the exact expected excess of each algorithm.
+
+    With ``grid_size = 1`` and noise an instance has two atoms of
+    probability 1/2, so every sequence of draws is equally likely.  Fed
+    all ``2 ** n_max`` sequences as replicate rows, the kernels give the
+    exact expected risk at every ``n`` of the grid (a prefix of a uniform
+    sequence is uniform), while the grid estimates it from ``R`` seeded
+    replicates.  A row passes within four of its standard errors, a bound
+    fixed before the first run.  A rare mistake can read ``0 +- 0`` in the
+    grid, so a zero standard error is replaced by the exact standard
+    deviation over ``sqrt(R)``, with an absolute slack of 1e-15.
+    """
+
+    N_GRID = (4, 8, 12)
+    LMA_BETA = 16.0
+    MA_BETA0 = 2.0
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            GeneratorSpec("bounded_regression", grid_size=1, noise_level=0.25),
+            GeneratorSpec("near_tie", grid_size=1, noise_level=0.5, tie_gap=0.02),
+        ],
+        ids=["bounded_regression", "near_tie"],
+    )
+    @pytest.mark.parametrize("m", [2, 8])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_rows_lie_within_four_standard_errors_of_the_exact_value(self, generator, m, seed):
+        config = small_config(
+            generator=generator,
+            n_grid=self.N_GRID,
+            m_grid=(m,),
+            replications=4000,
+            master_seed=seed,
+            lma_betas=(self.LMA_BETA,),
+            ma_beta0=self.MA_BETA0,
+        )
+        dist, dictionary = generate_instance(generator, m, config.master_seed)
+        assert dist.ps.tolist() == [0.5, 0.5]
+        design = atom_design(dictionary, SQUARED, dist)
+        losses = loss_values("squared", dist.ys[:, None], design)
+        n_max = self.N_GRID[-1]
+        # row s draws atom (s >> t) & 1 at step t: every sequence once
+        idx = np.asfortranarray((np.arange(2**n_max)[:, None] >> np.arange(n_max)) & 1)
+
+        def risks(thetas):
+            return (dist.ps * (dist.ys - thetas @ design.T) ** 2).sum(axis=1)
+
+        ma_betas = Schedule.sqrt_growth(self.MA_BETA0).betas(n_max)
+        arm_risks = dist.ps @ losses
+        exact = {
+            "LMA": [risks(t) for t in lma_weights(idx, losses, self.LMA_BETA, self.N_GRID)],
+            "MA": [risks(t) for t in ma_weights(idx, design, dist.ys, "squared", ma_betas, self.N_GRID)],
+            "ERM": [arm_risks[np.argmin(s, axis=1)] for s in erm_totals(idx, losses, self.N_GRID)],
+        }
+        rows = run_dictionary_size(config, m)
+        assert len(rows) == 3 * len(self.N_GRID)
+        for row in rows:
+            achieved = exact[row.algorithm][self.N_GRID.index(row.n)]
+            expected = achieved.mean() - row.oracle_value
+            scale = row.stderr or achieved.std() / math.sqrt(config.replications)
+            assert abs(row.mean_excess - expected) <= 4.0 * scale + 1e-15, (row, expected)
+
+
 class TestRateFit:
     def test_exact_inverse_law_recovers_slope_minus_one(self):
         rows = [synthetic_row(n, 0.7 / n) for n in (10, 100, 1000, 10_000)]

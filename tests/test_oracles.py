@@ -255,15 +255,26 @@ class TestConvexOracle:
             assert abs(convex.risk_value - selection.risk_value) <= 1e-8
 
     def test_iteration_cap_raises_with_best_iterate(self):
-        rng = np.random.default_rng(31)
-        dic, dist = random_regression_instance(rng, 5)
-        with pytest.raises(ConvergenceError) as info:
-            c_oracle(dic, LossSpec("squared"), dist, tol=1e-14, max_iter=1)
-        err = info.value
-        assert err.best_weights.shape == (5,)
-        assert err.best_weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.isfinite(err.best_risk)
-        assert np.isfinite(err.gap)
+        cases = [(random_regression_instance(np.random.default_rng(31), 5), 1)]
+        # instances on which a gap recorded apart from the weights came from another iterate
+        for seed, max_iter in ((62, 5), (111, 5), (21, 13), (323, 13)):
+            rng = np.random.default_rng(seed)
+            m, k = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+            values, ys = rng.uniform(-1.0, 1.0, (m, k)), rng.uniform(-1.0, 1.0, k)
+            dist = FiniteDistribution([atom(x, float(y), 1.0 / k) for x, y in enumerate(ys)])
+            cases.append(((TabularDictionary(values), dist), max_iter))
+        spec = LossSpec("squared")
+        for (dic, dist), max_iter in cases:
+            with pytest.raises(ConvergenceError) as info:
+                c_oracle(dic, spec, dist, tol=1e-14, max_iter=max_iter)
+            err = info.value
+            w = err.best_weights
+            assert w.shape == (dic.size,)
+            assert w.sum() == pytest.approx(1.0, abs=1e-9)
+            # the exact gradient of sum_a p_a (y_a - F_a . w)^2 at the reported weights
+            g = dic.values @ (dist.ps * 2.0 * (dic.values.T @ w - dist.ys))
+            assert err.gap == pytest.approx(float(w @ g - g.min()), rel=1e-12)
+            assert err.best_risk == pytest.approx(exact_risk(w, dic, spec, dist), rel=1e-12)
 
 
 class TestRates:
