@@ -8,12 +8,12 @@ Subcommands:
   and print (optionally write) the verdict table.
 * ``rates``: print or write the reference rate curves for given grids.
 
-Configs are flat INI-style key-value files; unknown sections or keys are
-hard errors.  Every output file embeds a digest of the fully resolved
-configuration, and a manifest (digest, tool version, master seed,
-timestamp, output paths) is written before any results, so reruns of the
-same config produce byte-identical result files with only the manifest
-timestamp differing.
+Configs are flat INI-style key-value files.  ``_TABLE`` gives each key's
+field, parser, default and readers; an unknown key, or one that the chosen
+family, loss or algorithms do not read, is a hard error.  Every output file
+embeds a digest of the canonical values of the keys its command reads, and a
+manifest (digest, tool version, master seed, timestamp, output paths) is
+written before any results, so reruns are byte-identical but for its timestamp.
 
 Exit codes: 0 success, 1 runtime failure (partial results are kept),
 2 configuration error.
@@ -27,10 +27,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .conditions import check_exp_map_concavity, check_nice_loss, nice_beta_report
@@ -43,69 +45,16 @@ from .experiments import (  # noqa: F401
     run_cell,
     run_dictionary_size,
 )
-from .losses import PHI_EXPONENTIAL, PHI_LOGIT2, LossSpec
+from .losses import PHI_EXPONENTIAL, PHI_LOGIT2, SQUARED, LossSpec
 from .oracles import optimal_rate
 
 __all__ = ["main", "ConfigError", "CSV_HEADER", "load_run_config", "config_digest", "rows_to_csv"]
 
 CSV_HEADER = "n,M,algorithm,loss,oracle_kind,mean_excess,stderr,oracle_value,bound_value,bound_pass,seed"
 
-_SCHEMA = {
-    "generator": {"family", "grid_size", "noise_level", "margin_exponent", "tie_gap"},
-    "experiment": {"n_grid", "m_grid", "replications", "algorithms", "loss", "y_bound", "seed"},
-    "schedule": {"lma_beta", "ma_beta0", "ma_schedule"},
-    "conditions": {"loss", "y_bound", "betas", "n", "m", "mc_outer", "trials", "seed"},
-}
-
 
 class ConfigError(Exception):
     """Configuration problem; maps to exit code 2."""
-
-
-def _read_config(path: str) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.optionxform = str
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        parser.read_string(file.read_text(), source=path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    resolved: dict = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]; expected one of {sorted(_SCHEMA)}")
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]; "
-                    f"supported: {sorted(_SCHEMA[section])}"
-                )
-            resolved[f"{section}.{key}"] = value.strip()
-    return resolved
-
-
-def config_digest(resolved: dict) -> str:
-    """Stable hash of the fully resolved configuration."""
-    canon = "\n".join(f"{key}={resolved[key]}" for key in sorted(resolved))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-_NO_DEFAULT = object()
-
-
-def _get(resolved: dict, key: str, conv=str, default=_NO_DEFAULT):
-    """``conv`` of the value of ``key``; a key without a default is required."""
-    if key not in resolved:
-        if default is _NO_DEFAULT:
-            section, name = key.split(".", 1)
-            raise ConfigError(f"missing required key {name!r} in section [{section}]")
-        return default
-    try:
-        return conv(resolved[key])
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}={resolved[key]!r}: {exc}") from exc
 
 
 def _words(conv):
@@ -120,69 +69,142 @@ def _words(conv):
     return parse
 
 
-def _get_present(resolved: dict, section: str, convs: dict) -> dict:
-    """The keys of ``convs`` that ``section`` sets, parsed; the others keep their dataclass defaults."""
-    return {key: _get(resolved, f"{section}.{key}", conv) for key, conv in convs.items() if f"{section}.{key}" in resolved}
+class _Key(NamedTuple):
+    """A config key: the field it fills, its parser, when it is read, its default and its name in errors."""
+
+    field: str
+    parse: object = str
+    read_by: tuple = ()  # (selector, values...): read only when the selector key takes one of the values
+    default: object = dataclasses.MISSING  # required, unless ``field`` has a default in a spec dataclass
+    says: str | None = None  # what the library's errors call the value, when not ``field``
 
 
-def _spec(section: str, cls, **values):
-    """``cls(**values)``, its ``ValueError`` a ``ConfigError`` prefixed with ``[section]``."""
+_TABLE = {
+    "generator.family": _Key("family"),
+    "generator.grid_size": _Key("grid_size", int),
+    "generator.noise_level": _Key("noise_level", float, ("generator.family", "bounded_regression", "near_tie")),
+    "generator.margin_exponent": _Key("margin_exponent", float, ("generator.family", "margin_classification")),
+    "generator.tie_gap": _Key("tie_gap", float, ("generator.family", "near_tie")),
+    "experiment.n_grid": _Key("n_grid", _words(int)),
+    "experiment.m_grid": _Key("m_grid", _words(int)),
+    "experiment.replications": _Key("replications", int),
+    "experiment.algorithms": _Key("algorithms", _words(str)),
+    "experiment.loss": _Key("kind"),
+    "experiment.y_bound": _Key("y_bound", float, ("experiment.loss", SQUARED)),
+    "experiment.seed": _Key("master_seed", int),
+    "schedule.lma_beta": _Key("lma_betas", _words(float), ("experiment.algorithms", "LMA")),
+    "schedule.ma_beta0": _Key("ma_beta0", float, ("experiment.algorithms", "MA")),
+    "schedule.ma_schedule": _Key("ma_schedule", str, ("experiment.algorithms", "MA")),
+    "conditions.loss": _Key("kind", says="losses"),
+    "conditions.y_bound": _Key("y_bound", float, ("conditions.loss", SQUARED)),
+    "conditions.betas": _Key("betas", _words(float), says="beta"),
+    "conditions.n": _Key("n", int, default=64, says="training size"),
+    "conditions.m": _Key("m", int, default=8, says="dictionary size"),
+    "conditions.mc_outer": _Key("mc_outer", int, default=1000),
+    "conditions.trials": _Key("trials", int, default=1000),
+    "conditions.seed": _Key("seed", int),
+}
+_DEFAULTS = {f.name: f.default for cls in (GeneratorSpec, LossSpec, ExperimentConfig) for f in dataclasses.fields(cls)}
+
+
+def _label(name: str) -> str:
+    """``[section] key`` of ``section.key``."""
+    return "[{}] {}".format(*name.split(".", 1))
+
+
+def _load(path: str, sections, seed_name: str, seed: int | None):
+    """Values by field and canonical text by name of the keys ``sections`` read, ``seed`` given as ``seed_name``.
+
+    Unknown names and unread keys are errors raised before any other value is parsed.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str
     try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    known = sorted({name.split(".")[0] for name in _TABLE})
+    unknown = [section for section in parser.sections() if section not in known]
+    if unknown:
+        raise ConfigError(f"unknown config section [{unknown[0]}]; expected one of {known}")
+    given = {f"{section}.{key}": text.strip() for section in parser.sections() for key, text in parser.items(section)}
+    unknown = [name for name in given if name not in _TABLE]
+    if unknown:
+        raise ConfigError(f"{_label(unknown[0])}: unknown key; supported: {sorted(_TABLE)}")
+    if seed is not None:
+        given[seed_name] = str(seed)
+
+    def parse(name):
+        entry = _TABLE[name]
+        default = _DEFAULTS.get(entry.field, entry.default)
+        if name not in given and default is dataclasses.MISSING:
+            raise ConfigError(f"{_label(name)}: missing required key")
+        try:
+            return entry.parse(given[name]) if name in given else default
+        except ValueError as exc:
+            raise ConfigError(f"{_label(name)}: cannot parse {given[name]!r}: {exc}") from exc
+
+    read = []
+    for name in (name for name in _TABLE if name.split(".")[0] in sections):
+        selector, *readers = _TABLE[name].read_by or (None,)
+        if readers and set(readers).isdisjoint(_field(parse(selector)).split()):
+            if name in given:
+                raise ConfigError(
+                    f"{_label(name)} is not read when {_label(selector)} = {given[selector]}; "
+                    f"it is read only under {' or '.join(readers)}"
+                )
+            continue
+        read.append(name)
+    values = {_TABLE[name].field: parse(name) for name in read}
+    return values, {name: _field(values[_TABLE[name].field]) for name in read}
 
 
-def _get_loss(resolved, section) -> LossSpec:
-    kind = _get(resolved, f"{section}.loss")
-    return _spec(section, LossSpec, kind=kind, **_get_present(resolved, section, {"y_bound": float}))
+def _named(exc: ValueError, names) -> ConfigError:
+    """``exc`` as a ``ConfigError`` naming the ``[section] key`` of ``names`` that its message mentions first."""
+    text = str(exc)
+    words = [(name, word) for name in names for word in (name.split(".")[1], _TABLE[name].field, _TABLE[name].says)]
+    found = sorted((m.start(), name, word) for name, word in words if word and (m := re.search(rf"\b{word}\b", text)))
+    if not found:
+        return ConfigError(text)
+    start, name, word = found[0]
+    return ConfigError(_label(name) + (text[len(word):] if start == 0 else f": {text}"))
 
 
-def _get_generator(resolved: dict) -> GeneratorSpec:
-    family = _get(resolved, "generator.family")
-    options = _get_present(
-        resolved, "generator", {"grid_size": int, "noise_level": float, "margin_exponent": float, "tie_gap": float}
-    )
-    return _spec("generator", GeneratorSpec, family=family, **options)
+def _build(cls, values: dict):
+    """``cls`` from the fields of ``values`` that it has."""
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+
+
+def config_digest(resolved: dict) -> str:
+    """sha256 of the ``key=value`` lines of ``resolved``, in key order."""
+    return hashlib.sha256("\n".join(f"{key}={resolved[key]}" for key in sorted(resolved)).encode()).hexdigest()
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> tuple[ExperimentConfig, dict]:
-    """Parse and validate a ``run`` config; returns it with the resolved map."""
-    resolved = _read_config(path)
-    if seed_override is not None:
-        resolved["experiment.seed"] = str(seed_override)
+    """Parse and validate a ``run`` config; returns it with the canonical values ``config_digest`` hashes."""
+    values, canonical = _load(path, ("generator", "experiment", "schedule"), "experiment.seed", seed_override)
     try:
-        config = ExperimentConfig(
-            generator=_get_generator(resolved),
-            n_grid=_get(resolved, "experiment.n_grid", _words(int)),
-            m_grid=_get(resolved, "experiment.m_grid", _words(int)),
-            replications=_get(resolved, "experiment.replications", int),
-            algorithms=_get(resolved, "experiment.algorithms", _words(str)),
-            loss=_get_loss(resolved, "experiment"),
-            master_seed=_get(resolved, "experiment.seed", int),
-            lma_betas=_get(resolved, "schedule.lma_beta", _words(float), ()),
-            ma_beta0=_get(resolved, "schedule.ma_beta0", float, None),
-            ma_schedule=_get(resolved, "schedule.ma_schedule", str, "sqrt_growth"),
-        )
+        values.update(generator=_build(GeneratorSpec, values), loss=_build(LossSpec, values))
+        return _build(ExperimentConfig, values), canonical
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config, resolved
+        raise _named(exc, canonical) from exc
 
 
 def _field(value) -> str:
-    """CSV text of one field: 17 significant digits, true/false, empty for None."""
+    """Text of a CSV field or config value: 17 significant digits, true/false, empty for None, items spaced."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(_field, value))
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _csv_text(digest: str, header: str, records) -> str:
     """The digest line, ``header``, then one comma-joined line per record."""
-    lines = [f"# digest={digest}", header]
-    lines += [",".join(_field(value) for value in record) for record in records]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# digest={digest}", header, *(",".join(map(_field, record)) for record in records)]) + "\n"
 
 
 def rows_to_csv(rows, digest: str) -> str:
@@ -223,8 +245,10 @@ def _size_worker(unit):
 
 
 def cmd_run(args) -> int:
-    config, resolved = load_run_config(args.config, args.seed)
-    digest = config_digest(resolved)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
+    config, canonical = load_run_config(args.config, args.seed)
+    digest = config_digest(canonical)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
@@ -257,40 +281,30 @@ def cmd_run(args) -> int:
     _write_manifest(out_dir, digest, config.master_seed, [results_path], failures, workers)
     if not args.quiet:
         print(f"wrote {results_path} ({len(rows)} rows)")
-    if failures:
-        for failure in failures:
-            print(failure, file=sys.stderr)
-        return 1
-    return 0
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_check_conditions(args) -> int:
-    resolved = _read_config(args.config)
-    if args.seed is not None:
-        resolved["conditions.seed"] = str(args.seed)
-    generator = _get_generator(resolved)
-    spec = _get_loss(resolved, "conditions")
-    betas = _get(resolved, "conditions.betas", _words(float))
-    n = _get(resolved, "conditions.n", int, 64)
-    m = _get(resolved, "conditions.m", int, 8)
-    mc_outer = _get(resolved, "conditions.mc_outer", int, 1000)
-    trials = _get(resolved, "conditions.trials", int, 1000)
-    seed = _get(resolved, "conditions.seed", int)
-    if seed < 0:
-        raise ConfigError(f"conditions.seed must be a nonnegative integer, got {seed}")
-    digest = config_digest(resolved)
-
+    values, canonical = _load(args.config, ("generator", "conditions"), "conditions.seed", args.seed)
+    seed = values["seed"]
     records = []
     # the checkers reject out-of-range sizes, temperatures and labels, which come from the config
     try:
-        dist, dictionary = generate_instance(generator, m, seed)
-        for beta in betas:
-            moment = check_nice_loss(spec, dictionary, dist, beta, n=n, mc_outer=mc_outer, seed=seed)
-            concavity = check_exp_map_concavity(spec, dictionary, dist, beta, trials=trials, seed=seed)
+        spec = _build(LossSpec, values)
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+        dist, dictionary = generate_instance(_build(GeneratorSpec, values), values["m"], seed)
+        for beta in values["betas"]:
+            moment = check_nice_loss(
+                spec, dictionary, dist, beta, n=values["n"], mc_outer=values["mc_outer"], seed=seed
+            )
+            concavity = check_exp_map_concavity(spec, dictionary, dist, beta, trials=values["trials"], seed=seed)
             for name, v in (("exp_moment", moment), ("concavity", concavity)):
                 records.append((spec.kind, beta, name, v.estimate, v.std_error, v.verdict, v.samples_used))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _named(exc, canonical) from exc
 
     print(f"{'loss':<16} {'beta':>10} {'check':<11} {'estimate':>13} {'std_error':>11} {'verdict':<13} {'samples':>8}")
     for kind, beta, name, estimate, std_error, verdict, samples in records:
@@ -306,24 +320,15 @@ def cmd_check_conditions(args) -> int:
 
     if args.out is not None:
         header = "loss,beta,check,estimate,std_error,verdict,samples_used"
-        _write_report(args, "conditions_report.csv", digest, seed, header, records)
+        _write_report(args, "conditions_report.csv", config_digest(canonical), seed, header, records)
     return 0
 
 
 def cmd_rates(args) -> int:
-    resolved = {
-        "rates.n": " ".join(str(n) for n in args.n),
-        "rates.M": " ".join(str(m) for m in args.m),
-        "rates.kinds": " ".join(args.kinds),
-    }
-    digest = config_digest(resolved)
+    flags = {"n": args.n, "M": args.m, "kinds": args.kinds}
+    digest = config_digest({f"rates.{name}": _field(tuple(value)) for name, value in flags.items()})
     try:
-        table = [
-            (n, m, kind, optimal_rate(n, m, kind))
-            for kind in args.kinds
-            for m in args.m
-            for n in args.n
-        ]
+        table = [(n, m, kind, optimal_rate(n, m, kind)) for kind in args.kinds for m in args.m for n in args.n]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"{'n':>8} {'M':>6} {'kind':<4} {'rate':>24}")
@@ -363,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates_parser = sub.add_parser("rates", help="print reference rate curves")
     rates_parser.add_argument("--n", type=int, nargs="+", required=True, help="sample sizes")
     rates_parser.add_argument("--m", "--M", type=int, nargs="+", required=True, dest="m", help="dictionary sizes")
-    rates_parser.add_argument(
-        "--kinds", nargs="+", default=["MS", "C"], choices=["MS", "C"], help="oracle kinds"
-    )
+    rates_parser.add_argument("--kinds", nargs="+", default=["MS", "C"], choices=["MS", "C"], help="oracle kinds")
     _add_common(rates_parser, config=False)
     rates_parser.set_defaults(func=cmd_rates)
 
@@ -373,11 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run" and args.jobs < 1:
-        print("config error: --jobs must be at least 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -3,10 +3,14 @@ import math
 import subprocess
 import sys
 from concurrent.futures import Future
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mirroragg import GeneratorSpec, generate_instance
 from mirroragg import cli
+from mirroragg.experiments import FAMILIES
 from mirroragg.cli import CSV_HEADER
 
 RUN_CONFIG = """\
@@ -42,6 +46,37 @@ seed = 3
 """
 
 
+# a phi_classification generator under a margin loss reads no optional [generator] or [experiment] key
+MARGIN_CONFIG = """\
+[generator]
+family = phi_classification
+grid_size = 8
+
+[experiment]
+n_grid = 16 64
+m_grid = 4 8
+replications = 20
+algorithms = MA LMA ERM
+loss = phi_logit2
+seed = 11
+"""
+
+ACCEPTANCE_CONFIG = """\
+[generator]
+family = bounded_regression
+grid_size = 16
+noise_level = 0.25
+
+[experiment]
+n_grid = 32 128 512 2048
+m_grid = 2 8 32
+replications = 1000
+algorithms = MA LMA ERM
+loss = squared
+seed = 424243
+"""
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "mirroragg", *argv],
@@ -54,6 +89,11 @@ def write_config(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_digest(tmp_path, text, seed=None, name="config.ini"):
+    """``config_digest`` of the canonical values of the ``run`` config ``text``."""
+    return cli.config_digest(cli.load_run_config(write_config(tmp_path, text, name), seed)[1])
 
 
 def record_pools(monkeypatch):
@@ -213,12 +253,14 @@ seed = 5
         config = write_config(tmp_path, RUN_CONFIG.replace("loss = squared", "loss = cubic"))
         proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert "config error: [experiment] unknown loss kind 'cubic'" in proc.stderr
+        assert "config error: [experiment] loss: unknown loss kind 'cubic'" in proc.stderr
 
     def test_kappa_below_one_is_a_config_error(self, tmp_path):
-        text = RUN_CONFIG.replace(
-            "family = bounded_regression", "family = margin_classification\nmargin_exponent = 0.5"
-        ).replace("loss = squared", "loss = phi_exponential")
+        text = (
+            RUN_CONFIG.replace("family = bounded_regression", "family = margin_classification\nmargin_exponent = 0.5")
+            .replace("noise_level = 0.25\n", "")
+            .replace("loss = squared", "loss = phi_exponential")
+        )
         config = write_config(tmp_path, text)
         proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
@@ -291,12 +333,15 @@ class TestCheckConditionsCommand:
     @pytest.mark.parametrize(
         "line, bad, message",
         [
-            ("mc_outer = 150", "mc_outer = 50", "config error"),
-            ("trials = 1000", "trials = 10", "config error"),
-            ("betas = 16 0.16", "betas = -1", "config error"),
-            ("loss = squared", "loss = cubic", "config error: [conditions] unknown loss kind 'cubic'"),
+            ("mc_outer = 150", "mc_outer = 50", "config error: [conditions] mc_outer must be at least 100, got 50"),
+            ("trials = 1000", "trials = 10", "config error: [conditions] trials must be at least 1000, got 10"),
+            ("betas = 16 0.16", "betas = -1", "config error: [conditions] betas must be positive and finite, got -1.0"),
+            ("loss = squared", "loss = cubic", "config error: [conditions] loss: unknown loss kind 'cubic'"),
+            ("n = 16", "n = 0", "config error: [conditions] n must be at least 1, got 0"),
+            ("m = 4", "m = 1", "config error: [conditions] m must be at least 2, got 1"),
+            ("loss = squared", "loss = phi_logit2", "config error: [conditions] loss: margin losses require labels"),
         ],
-        ids=["mc_outer", "trials", "betas", "loss"],
+        ids=["mc_outer", "trials", "betas", "loss", "n", "m", "labels"],
     )
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, line, bad, message):
         config = write_config(tmp_path, CONDITIONS_CONFIG.replace(line, bad))
@@ -309,7 +354,7 @@ class TestCheckConditionsCommand:
         config = write_config(tmp_path, text)
         assert cli.main(["check-conditions", "--config", config, "--quiet", *override]) == 2
         err = capsys.readouterr().err
-        assert "config error: conditions.seed must be a nonnegative integer, got -1" in err
+        assert "config error: [conditions] seed must be a nonnegative integer, got -1" in err
 
     def test_margin_loss_prints_nice_beta_line(self, tmp_path):
         config = write_config(
@@ -375,3 +420,151 @@ class TestRatesCommand:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("mirroragg ")
+
+
+class TestCanonicalConfig:
+    @pytest.mark.parametrize(
+        "old, new, label",
+        [
+            ("loss = phi_logit2", "loss = phi_logit2\ny_bound = 7", "[experiment] y_bound"),
+            ("grid_size = 8", "grid_size = 8\nnoise_level = 0.25", "[generator] noise_level"),
+            ("grid_size = 8", "grid_size = 8\nmargin_exponent = 3", "[generator] margin_exponent"),
+            ("grid_size = 8", "grid_size = 8\ntie_gap = 0.5", "[generator] tie_gap"),
+            ("MA LMA ERM", "LMA ERM", None),
+        ],
+        ids=["y_bound", "noise_level", "margin_exponent", "tie_gap", "ma_beta0"],
+    )
+    def test_a_key_the_run_does_not_read_is_a_config_error(self, tmp_path, capsys, old, new, label):
+        text = MARGIN_CONFIG.replace(old, new)
+        if label is None:
+            text, label = text + "\n[schedule]\nma_beta0 = 1\n", "[schedule] ma_beta0"
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {label} is not read when ")
+        assert not out.exists()
+
+    def test_an_unread_key_is_reported_before_a_value_error(self, tmp_path, capsys):
+        text = MARGIN_CONFIG.replace("grid_size = 8", "grid_size = 0\ntie_gap = 0.5").replace("= 20", "= 0")
+        assert cli.main(["run", "--config", write_config(tmp_path, text), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: [generator] tie_gap is not read when ")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "seed = 11",
+                "seed = 11\n\n[schedule]\nlma_beta = -1",
+                "[schedule] lma_beta must be positive and finite, got -1.0",
+            ),
+            ("replications = 5", "replications = 0", "[experiment] replications must be at least 1, got 0"),
+            ("seed = 11", "seed = -1", "[experiment] seed must be a nonnegative integer, got -1"),
+            ("algorithms = MA LMA ERM", "algorithms = MA XX", "[experiment] algorithms: unknown algorithms ['XX']"),
+        ],
+        ids=["lma_beta", "replications", "seed", "algorithms"],
+    )
+    def test_an_experiment_value_error_names_its_section_and_key(self, tmp_path, capsys, old, new, message):
+        config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
+        assert cli.main(["run", "--config", config, "--quiet", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("loss = squared", "loss = squared\ny_bound = 1.0"),
+            ("loss = squared", "loss = squared\ny_bound = 1"),
+            ("grid_size = 16", ""),
+            ("n_grid = 32 128 512 2048", "n_grid = 32, 128,512   2048"),
+            ("seed = 424243", "seed = 424243\n\n[schedule]\nma_schedule = sqrt_growth"),
+            ("seed = 424243", "seed = 424243\n\n[conditions]\nloss = phi_hinge\nbetas = 1\nseed = 3"),
+        ],
+        ids=["y_bound", "y_bound_int", "grid_size", "separators", "ma_schedule", "conditions_section"],
+    )
+    def test_one_configuration_has_one_digest(self, tmp_path, old, new):
+        assert ACCEPTANCE_CONFIG.count(old) == 1
+        base = run_digest(tmp_path, ACCEPTANCE_CONFIG)
+        assert run_digest(tmp_path, ACCEPTANCE_CONFIG.replace(old, new), name="b.ini") == base
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("replications = 1000", "replications = 999"),
+            ("seed = 424243", "seed = 424243\n\n[schedule]\nlma_beta = 16"),
+            ("seed = 424243", "seed = 424243\n\n[schedule]\nma_beta0 = 2"),
+        ],
+        ids=["replications", "lma_beta", "ma_beta0"],
+    )
+    def test_a_value_that_is_not_the_default_moves_the_digest(self, tmp_path, old, new):
+        """An explicit ``lma_beta = 16`` is another configuration, though squared loss defaults to 16 here."""
+        base = run_digest(tmp_path, ACCEPTANCE_CONFIG)
+        assert run_digest(tmp_path, ACCEPTANCE_CONFIG.replace(old, new), name="b.ini") != base
+
+    def test_a_seed_override_is_hashed_as_the_seed(self, tmp_path):
+        overridden = run_digest(tmp_path, RUN_CONFIG, seed=12)
+        assert overridden == run_digest(tmp_path, RUN_CONFIG.replace("seed = 11", "seed = 12"), name="b.ini")
+        assert overridden != run_digest(tmp_path, RUN_CONFIG)
+
+    @pytest.mark.parametrize(
+        "command, text, seed_line, name",
+        [
+            ("run", RUN_CONFIG, "seed = 11\n", "results.csv"),
+            ("check-conditions", CONDITIONS_CONFIG, "seed = 3\n", "conditions_report.csv"),
+        ],
+        ids=["run", "check-conditions"],
+    )
+    def test_the_seed_flag_stands_in_for_a_missing_seed_key(self, tmp_path, command, text, seed_line, name):
+        digests = []
+        for label, config_text, flag in (
+            ("a", text.replace(seed_line, ""), ["--seed", "7"]),
+            ("b", text.replace(seed_line, "seed = 7\n"), []),
+        ):
+            out = tmp_path / label
+            config = write_config(tmp_path, config_text, f"{label}.ini")
+            assert cli.main([command, "--config", config, "--out", str(out), "--quiet", *flag]) == 0
+            digests.append((out / name).read_text().splitlines()[0])
+        assert digests[0] == digests[1]
+
+    def test_a_section_check_conditions_does_not_read_leaves_its_digest(self, tmp_path):
+        digests = []
+        for name, text in (("a", CONDITIONS_CONFIG), ("b", CONDITIONS_CONFIG + "\n[experiment]\nseed = 5\n")):
+            out = tmp_path / name
+            config = write_config(tmp_path, text, f"{name}.ini")
+            assert cli.main(["check-conditions", "--config", config, "--out", str(out), "--quiet"]) == 0
+            digests.append((out / "conditions_report.csv").read_text().splitlines()[0])
+        assert digests[0] == digests[1]
+
+    def test_the_readme_run_config_hashes_its_written_default_as_omitted(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert block.count("y_bound = 1.0\n") == 1
+        config, _ = cli.load_run_config(write_config(tmp_path, block))
+        assert (config.generator.family, config.loss.kind) == ("bounded_regression", "squared")
+        assert run_digest(tmp_path, block) == run_digest(tmp_path, block.replace("y_bound = 1.0\n", ""), name="b.ini")
+
+
+# one value per [generator] key, each unlike its default
+CHANGED = {"grid_size": 5, "noise_level": 0.25, "margin_exponent": 3.0, "tie_gap": 0.02}
+
+
+def instance_of(genspec):
+    dist, dictionary = generate_instance(genspec, 4, 17)
+    return dist.atoms, dictionary.values
+
+
+@pytest.mark.parametrize("key", sorted(CHANGED))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_generator_key_is_read_exactly_when_it_changes_the_instance(tmp_path, family, key):
+    """The config accepts a key for a family if and only if ``generate_instance`` reads it there."""
+    loss = "squared" if family in ("bounded_regression", "near_tie") else "phi_logit2"
+    text = MARGIN_CONFIG.replace("phi_classification", family).replace("phi_logit2", loss)
+    config_path = write_config(tmp_path, text.replace("grid_size = 8", f"{key} = {CHANGED[key]}"))
+    try:
+        config, _ = cli.load_run_config(config_path)
+        read = True
+    except cli.ConfigError as exc:
+        assert str(exc).startswith(f"[generator] {key} is not read when [generator] family = {family}; ")
+        read = False
+    changed = GeneratorSpec(family, **{key: CHANGED[key]})
+    assert not read or config.generator == changed
+    (atoms, values), (base_atoms, base_values) = instance_of(changed), instance_of(GeneratorSpec(family))
+    same = atoms == base_atoms and np.array_equal(values, base_values)
+    assert same != read
