@@ -89,7 +89,7 @@ _TABLE = {
     "experiment.m_grid": _Key("m_grid", _words(int)),
     "experiment.replications": _Key("replications", int),
     "experiment.algorithms": _Key("algorithms", _words(str)),
-    "experiment.loss": _Key("kind"),
+    "experiment.loss": _Key("kind", says="losses"),
     "experiment.y_bound": _Key("y_bound", float, ("experiment.loss", SQUARED)),
     "experiment.seed": _Key("master_seed", int),
     "schedule.lma_beta": _Key("lma_betas", _words(float), ("experiment.algorithms", "LMA")),

@@ -39,13 +39,14 @@ from .losses import (
     LabeledSample,
     LossSpec,
     PHI_HINGE,
+    PHI_KINDS,
     SQUARED,
     check_margin_range,
     gradient_second_moment_bound,
     loss_values,
     minimal_nice_beta,
 )
-from .oracles import FiniteDistribution, atom_design, c_oracle, column_risks, ms_oracle
+from .oracles import FiniteDistribution, atom_design, c_oracle, mixture_risks, ms_oracle
 from .simplex import TabularDictionary, require_positive
 
 __all__ = [
@@ -66,6 +67,9 @@ __all__ = [
 FAMILIES = ("bounded_regression", "phi_classification", "margin_classification", "near_tie")
 
 _FAMILY_CODES = {family: code for code, family in enumerate(FAMILIES, start=1)}
+
+# families whose labels are real numbers, not the {-1, +1} of a margin loss
+_REGRESSION_FAMILIES = ("bounded_regression", "near_tie")
 
 # Per-arm perturbation amplitudes for the regression recipe are log-spread
 # over this interval so the dictionary's risk gaps straddle the crossover
@@ -258,6 +262,10 @@ class ExperimentConfig:
             raise ValueError(f"ma_schedule must be 'sqrt_growth' or 'constant', got {self.ma_schedule!r}")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
+        if self.loss.kind in PHI_KINDS and self.generator.family in _REGRESSION_FAMILIES:
+            raise ValueError(
+                f"margin losses require labels in {{-1, +1}}; the {self.generator.family} family draws real labels"
+            )
 
 
 @dataclass(frozen=True)
@@ -324,11 +332,6 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     checkpoints = sorted(config.n_grid)
     idx = dist.replicate_indices((config.master_seed, _REPLICATE_TAG, m), reps, checkpoints[-1])
 
-    def mixture_risks(thetas):
-        # one design @ theta per replicate: a single design @ thetas.T sums
-        # in another order and moves the last digits of the results
-        return column_risks(kind, dist, (design @ theta for theta in thetas))
-
     log_m = math.log(m)
     rows_at: dict = {n: [] for n in checkpoints}
 
@@ -362,7 +365,10 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
             betas = config.lma_betas or default_lma_betas(loss, range_bound)
             for beta in betas:
                 label = "LMA" if len(betas) == 1 else f"LMA@{beta:.6g}"
-                achieved_at = [mixture_risks(thetas) for thetas in lma_weights(idx, losses, beta, checkpoints)]
+                achieved_at = [
+                    mixture_risks(kind, dist, design, thetas)
+                    for thetas in lma_weights(idx, losses, beta, checkpoints)
+                ]
                 for n, achieved in zip(checkpoints, achieved_at):
                     emit(n, label, achieved, okind, beta * log_m / (n + 1))
         elif algorithm == "MA":
@@ -374,7 +380,8 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
                 schedule = Schedule.constant(beta0)
             ma_betas = schedule.betas(checkpoints[-1])
             achieved_at = [
-                mixture_risks(thetas) for thetas in ma_weights(idx, design, dist.ys, kind, ma_betas, checkpoints)
+                mixture_risks(kind, dist, design, thetas)
+                for thetas in ma_weights(idx, design, dist.ys, kind, ma_betas, checkpoints)
             ]
             for n, achieved in zip(checkpoints, achieved_at):
                 emit(n, "MA", achieved, okind, 2.0 * math.sqrt(qstar * log_m / n))

@@ -1,8 +1,9 @@
 """Exact risk computation and aggregation oracles on finite distributions.
 
 Everything here is deterministic: distributions are finite lists of atoms,
-risks are exact expectations (compensated summation over atoms), and the
-two oracle values the rate experiments compare against are
+risks are exact expectations (error-free column sums over atoms, rounded
+once, the same float as ``math.fsum``), and the two oracle values the rate
+experiments compare against are
 
 * the selection oracle ``min_j R(f_j)`` over the dictionary, and
 * the convex oracle ``inf R(f_theta)`` over the whole simplex.
@@ -19,6 +20,7 @@ here.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +35,7 @@ __all__ = [
     "ConvergenceError",
     "atom_design",
     "column_risks",
+    "mixture_risks",
     "exact_risk",
     "ms_oracle",
     "c_oracle",
@@ -41,6 +44,10 @@ __all__ = [
 ]
 
 PROB_ATOL = 1e-12
+
+# Exact risks reduce at most this many (atom, column) entries at a time, so
+# their products and temporaries stay a few hundred kilobytes.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -180,24 +187,91 @@ def atom_design(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution
     return np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z, _ in dist.atoms])
 
 
-def column_risks(kind: str, dist: FiniteDistribution, columns) -> list:
-    """Exact risk of each column of per-atom prediction values.
+def _block_width(atoms: int) -> int:
+    return max(1, _BLOCK_ENTRIES // atoms)
 
-    ``columns`` yields vectors ``v`` with ``v[a]`` the prediction at atom
-    ``a``.  Each risk is the compensated sum over atoms of ``p_a`` times
-    the loss at ``v[a]``, so it is exact up to one floating rounding.
-    Columns are reduced one at a time, so memory stays at one atom vector
-    however many columns there are.
+
+def _exact_column_sums(products: np.ndarray) -> list:
+    """``[math.fsum(column) for column in products.T]`` of a float ``(K, C)`` array, without a Python float per entry.
+
+    Error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
+    summation, part I*, SIAM J. Sci. Comput. 2008, Lemma 3.3): with ``sigma``
+    a power of two at least ``2**s * max|r|`` and ``2**s >= K + 2``,
+    ``q = (sigma + r) - sigma`` and ``r - q`` are exact, every ``q`` is a
+    multiple of ``ulp(sigma) / 2`` and their absolute sum is at most
+    ``sigma``, so ``q.sum()`` is exact in any order.  Each pass moves the
+    leading bits of a column into one exact total ``tau`` and leaves the
+    rest in ``r``.  Once ``r`` is zero the exact column sum is the few
+    ``tau``, and ``math.fsum`` of those rounds it once, as ``math.fsum`` of
+    the column does.  A column with a non-finite entry, too large for
+    ``sigma`` to be finite, with a remainder after three passes, or summing
+    to zero (the sign of a zero sum is ``math.fsum``'s to choose) is summed
+    by ``math.fsum`` itself.
     """
-    return [math.fsum((dist.ps * loss_values(kind, dist.ys, v)).tolist()) for v in columns]
+    shift = (len(products) + 1).bit_length()
+    amax = np.abs(products).max(axis=0)
+    plain = ~(amax < 2.0 ** (1023 - shift))  # also true for inf and nan
+    amax[plain] = 0.0
+    r = np.where(plain, 0.0, products)
+    taus = []
+    for _ in range(3):
+        sigma = np.ldexp(1.0, np.frexp(amax)[1] + shift)
+        q = sigma + r
+        q -= sigma
+        r -= q
+        taus.append(q.sum(axis=0))
+        del q  # one block temporary fewer at the abs below
+        amax = np.abs(r).max(axis=0)
+        if not amax.any():
+            break
+    sums = [math.fsum(column) for column in zip(*(tau.tolist() for tau in taus))]
+    for c in np.flatnonzero(plain | (amax != 0.0) | (np.asarray(sums) == 0.0)):
+        sums[c] = math.fsum(products[:, c].tolist())
+    return sums
+
+
+def column_risks(kind: str, dist: FiniteDistribution, values: np.ndarray) -> list:
+    """Exact risk of each column of a ``(K atoms, C columns)`` array of prediction values.
+
+    ``values[a, c]`` is column ``c``'s prediction at atom ``a``.  Each risk
+    is the sum over atoms of ``p_a`` times the loss at ``values[a, c]``,
+    rounded once: bit for bit ``math.fsum`` of those products.  Columns are
+    reduced in blocks of at most ``_BLOCK_ENTRIES`` entries, so memory past
+    ``values`` stays bounded however many columns there are.
+    """
+    ps, ys = dist.ps[:, None], dist.ys[:, None]
+    width = _block_width(len(ps))
+    risks = []
+    for start in range(0, values.shape[1], width):
+        risks += _exact_column_sums(ps * loss_values(kind, ys, values[:, start : start + width]))
+    return risks
+
+
+def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, thetas) -> list:
+    """Exact risk of the mixture ``design @ theta`` for each weight vector ``theta`` of ``thetas``.
+
+    Each mixture is its own matrix-vector product: one ``design @ thetas.T``
+    sums in another order and moves the last digits.  The products pass
+    through one buffer of a block of columns, so memory stays bounded
+    however many weight vectors there are.
+    """
+    width = _block_width(len(design))
+    buffer = np.empty((width, len(design)))
+    risks = []
+    for start in range(0, len(thetas), width):
+        chunk = thetas[start : start + width]
+        for row, theta in zip(buffer, chunk):
+            row[:] = design @ theta
+        risks += column_risks(kind, dist, buffer[: len(chunk)].T)
+    return risks
 
 
 def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> float:
     """Exact population risk of a vertex or mixture under ``dist``.
 
     An integer selects the single function ``f_j``; a weight vector selects
-    the mixture.  The expectation over atoms uses compensated summation,
-    so the result is exact up to one floating rounding.
+    the mixture.  The expectation over atoms is ``column_risks`` of one
+    column, so the result is the exact sum rounded once.
     """
     if isinstance(theta_or_index, (int, np.integer)):
         dist.validate_for(spec)
@@ -207,7 +281,7 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
         values = np.asarray([dictionary.evaluate(j, z.x) for z, _ in dist.atoms], dtype=float)
     else:
         values = atom_design(dictionary, spec, dist) @ validate_weights(theta_or_index, size=dictionary.size)
-    return column_risks(spec.kind, dist, [values])[0]
+    return column_risks(spec.kind, dist, values[:, None])[0]
 
 
 def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> RiskReport:
@@ -215,21 +289,33 @@ def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) 
 
     Ties break to the lowest index.
     """
-    risks = column_risks(spec.kind, dist, atom_design(dictionary, spec, dist).T)
+    risks = column_risks(spec.kind, dist, atom_design(dictionary, spec, dist))
     j = int(np.argmin(risks))
     return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0, arm_risks=tuple(risks))
 
 
 def _risk_closures(design, kind, dist):
-    """Fast risk/gradient closures over the atom design matrix."""
+    """Fast risk/gradient closures over the atom design matrix.
+
+    Both share one ``design @ theta`` per weight-vector object: it is
+    computed at the first call on that object and dropped when the object
+    is freed.
+    """
     ys = dist.ys
     ps = dist.ps
+    mixes = {}
+
+    def mixture(theta):
+        key = id(theta)
+        if key not in mixes:
+            mixes[key] = (weakref.ref(theta, lambda _: mixes.pop(key)), design @ theta)
+        return mixes[key][1]
 
     def risk(theta):
-        return float(ps @ loss_values(kind, ys, design @ theta))
+        return float(ps @ loss_values(kind, ys, mixture(theta)))
 
     def grad(theta):
-        mix = design @ theta
+        mix = mixture(theta)
         if kind == PHI_HINGE:
             # subgradient: slope 1 wherever the margin 1 - y f is exactly zero
             return design.T @ (ps * (ys * mix <= 1.0) * -ys)
@@ -331,7 +417,7 @@ def c_oracle(
     risk, grad = _risk_closures(design, spec.kind, dist)
     theta, gap = _minimize(risk, grad, dictionary.size, tol, max_iter)
     return RiskReport(
-        risk_value=column_risks(spec.kind, dist, [design @ theta])[0],
+        risk_value=column_risks(spec.kind, dist, (design @ theta)[:, None])[0],
         oracle_kind="C",
         minimizer=theta,
         gap_certificate=gap,

@@ -443,6 +443,18 @@ class TestCanonicalConfig:
         assert capsys.readouterr().err.startswith(f"config error: {label} is not read when ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["bounded_regression", "near_tie"])
+    def test_a_margin_loss_on_a_regression_family_is_a_config_error(self, tmp_path, capsys, family):
+        """Real-valued labels never fit a margin loss, so ``run`` exits 2 before any dictionary size runs."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, MARGIN_CONFIG.replace("phi_classification", family))
+        assert cli.main(["run", "--config", config, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [experiment] loss: margin losses require labels in {-1, +1}; "
+            f"the {family} family draws real labels\n"
+        )
+        assert not out.exists()
+
     def test_an_unread_key_is_reported_before_a_value_error(self, tmp_path, capsys):
         text = MARGIN_CONFIG.replace("grid_size = 8", "grid_size = 0\ntie_gap = 0.5").replace("= 20", "= 0")
         assert cli.main(["run", "--config", write_config(tmp_path, text), "--quiet"]) == 2

@@ -215,7 +215,7 @@ class TestRunCell:
         def marked_arm_risks(*args):
             return replace(ms_oracle(*args), arm_risks=(7.0,) * 4)
 
-        monkeypatch.setattr(experiments, "column_risks", refuse)
+        monkeypatch.setattr(experiments, "mixture_risks", refuse)
         monkeypatch.setattr(experiments, "ms_oracle", marked_arm_risks)
         config = small_config(algorithms=("ERM",), n_grid=(16,), m_grid=(4,), replications=5)
         [row] = run_cell(config, 16, 4)
@@ -542,6 +542,9 @@ class TestDefaults:
             small_config(n_grid=(8, 16, 8))
         with pytest.raises(ValueError, match="m_grid repeats"):
             small_config(m_grid=(2, 2))
+        for family in ("bounded_regression", "near_tie"):
+            with pytest.raises(ValueError, match=f"margin losses require labels .* the {family} family"):
+                small_config(generator=GeneratorSpec(family=family), loss=LossSpec("phi_logit2"))
 
 
 def test_run_cell_warns_once_per_cell_on_margin_values_outside_the_unit_range(monkeypatch):

@@ -1,3 +1,7 @@
+import math
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +22,10 @@ from mirroragg import (
     optimal_rate,
     uniform_weights,
 )
+from mirroragg import oracles
 from mirroragg.experiments import GeneratorSpec, generate_instance
+from mirroragg.losses import PHI_HINGE, grad_coef, loss_values
+from mirroragg.oracles import column_risks
 
 
 def atom(x, y, p):
@@ -376,3 +383,173 @@ class TestHingeConvexOracle:
         assert convex.risk_value == selection.risk_value == pytest.approx(0.2, abs=1e-15)
         assert_allclose(convex.minimizer, [1.0, 0.0], atol=1e-12)
         assert convex.gap_certificate <= 1e-8
+
+
+def fsum_columns(kind, dist, values):
+    """The reference: ``math.fsum`` of each column's per-atom products, one Python float per atom."""
+    return [math.fsum((dist.ps * loss_values(kind, dist.ys, v)).tolist()) for v in values.T]
+
+
+PRODUCT_CASES = ("unit", "wide range", "zeros and subnormals", "powers of two")
+
+
+def products_stand_in(rng, case, atoms, columns):
+    """``(dist, values)`` whose squared-loss products ``ps[a] * values[a, c]**2`` follow ``case``.
+
+    ``column_risks`` reads only ``ps`` and ``ys``, so a stand-in with
+    labels 0 and probabilities of any sign and size reaches every float a
+    product can be.
+    """
+    sign = rng.choice([-1.0, 1.0], atoms)
+    if case == "unit":
+        ps, values = rng.random(atoms), rng.random((atoms, columns))
+    elif case == "wide range":
+        ps = sign * 10.0 ** rng.uniform(-150.0, 150.0, atoms)
+        values = 10.0 ** rng.uniform(-75.0, 75.0, (atoms, columns))
+    elif case == "zeros and subnormals":
+        ps = sign * rng.random(atoms) * 1e-300
+        values = rng.uniform(0.0, 1e-5, (atoms, columns)) * (rng.random((atoms, columns)) < 0.7)
+    else:  # powers of two, so a column's largest product is one, with cancellations
+        ps = np.ldexp(sign, rng.integers(-60, 60, atoms))
+        values = np.ldexp(1.0, rng.integers(-4, 4, (atoms, columns)))
+    return SimpleNamespace(ps=ps, ys=np.zeros(atoms)), values
+
+
+def subset_sums_match_fsum(ps):
+    """``column_risks`` of one column per subset of the products ``ps``, checked against ``math.fsum``."""
+    values = (np.arange(2 ** len(ps))[None, :] >> np.arange(len(ps))[:, None]) & 1
+    dist = SimpleNamespace(ps=ps, ys=np.zeros(len(ps)))
+    got = column_risks("squared", dist, values.astype(float))
+    assert list(map(float.hex, got)) == list(map(float.hex, fsum_columns("squared", dist, values)))
+    return got
+
+
+class TestColumnRisks:
+    """``column_risks`` is bit for bit ``math.fsum`` of each column, whatever the products and block layout."""
+
+    @pytest.mark.parametrize("case", PRODUCT_CASES)
+    @pytest.mark.parametrize("atoms", [1, 3, 512, 4096])
+    def test_equals_fsum_of_each_column(self, case, atoms):
+        rng = np.random.default_rng([17, atoms, PRODUCT_CASES.index(case)])
+        width = oracles._BLOCK_ENTRIES // atoms
+        for columns in (1, width - 1, width, width + 1, 2 * width + 1):
+            dist, values = products_stand_in(rng, case, atoms, columns)
+            got = column_risks("squared", dist, values)
+            assert list(map(float.hex, got)) == list(map(float.hex, fsum_columns("squared", dist, values)))
+
+    def test_every_subset_of_ties_and_cancellations(self):
+        """Columns pick subsets of products around a power-of-two maximum: ties to even, cancellation, far tails."""
+        ps = np.array([1.0, 2.0**-53, 2.0**-200, -(2.0**-200), -(2.0**-54), -1.0, 1.0 - 2.0**-53, 2.0**-1074])
+        got = subset_sums_match_fsum(ps)
+        assert got[0b11] == 1.0 and got[0b111] == 1.0 + 2.0**-52
+        # the tie is broken only by what three extraction passes leave over
+        assert got[0b1111] == 1.0 and got[0b10001111] == 1.0 + 2.0**-52
+
+    @pytest.mark.parametrize("top", [1.5 * 2.0**1019, 1.5 * 2.0**1020, 2.0**1020, 2.0**1023])
+    def test_near_the_largest_float(self, top):
+        """Products up to the largest binade: extracted while ``sigma`` stays finite, summed by ``math.fsum`` beyond."""
+        subset_sums_match_fsum(np.array([top, -top, top / 3, 1.0]))
+
+    def test_an_overflowing_sum_raises_fsums_error(self):
+        dist = SimpleNamespace(ps=np.array([2.0**1023, 2.0**1023]), ys=np.zeros(2))
+        with pytest.raises(OverflowError):
+            fsum_columns("squared", dist, np.ones((2, 1)))
+        with pytest.raises(OverflowError):
+            column_risks("squared", dist, np.ones((2, 1)))
+
+    def test_non_finite_columns_behave_as_fsum(self):
+        dist = SimpleNamespace(ps=np.array([1.0, -2.0, 0.5]), ys=np.zeros(3))
+        values = np.array([[np.inf, 1.0, np.nan, 1e150], [1.0, np.inf, 2.0, np.inf], [0.5, 1.0, 1.0, 1e-200]])
+        got = column_risks("squared", dist, values)
+        want = fsum_columns("squared", dist, values)
+        assert got[0] == want[0] == np.inf and got[1] == want[1] == -np.inf
+        assert math.isnan(got[2]) and math.isnan(want[2])
+        assert got[3] == want[3] == -np.inf
+
+    def test_mixed_infinities_raise_fsums_error(self):
+        dist = SimpleNamespace(ps=np.array([1.0, -1.0, 1.0]), ys=np.zeros(3))
+        values = np.array([[1.0, np.inf], [2.0, np.inf], [3.0, 1.0]])
+        with pytest.raises(ValueError) as expected:
+            fsum_columns("squared", dist, values)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            column_risks("squared", dist, values)
+
+    @pytest.mark.parametrize("kind", ["squared", "phi_exponential", "phi_logit2", "phi_hinge"])
+    def test_equals_fsum_on_a_generated_instance(self, kind):
+        if kind == "squared":
+            genspec = GeneratorSpec("bounded_regression", grid_size=256, noise_level=0.25)
+        else:
+            genspec = GeneratorSpec("phi_classification", grid_size=256)
+        dist, dictionary = generate_instance(genspec, 100, 5)
+        design = oracles.atom_design(dictionary, LossSpec(kind), dist)
+        assert column_risks(kind, dist, design) == fsum_columns(kind, dist, design)
+        thetas = np.random.default_rng(3).dirichlet(np.ones(100), 130)
+        mixtures = np.stack([design @ theta for theta in thetas], axis=1)
+        assert oracles.mixture_risks(kind, dist, design, thetas) == fsum_columns(kind, dist, mixtures)
+
+
+def unshared_closures(design, kind, dist):
+    """The solver's risk and gradient closures as they were before they shared one mixture product."""
+    ys = dist.ys
+    ps = dist.ps
+
+    def risk(theta):
+        return float(ps @ loss_values(kind, ys, design @ theta))
+
+    def grad(theta):
+        mix = design @ theta
+        if kind == PHI_HINGE:
+            return design.T @ (ps * (ys * mix <= 1.0) * -ys)
+        return design.T @ (ps * grad_coef(kind, ys, mix))
+
+    return risk, grad
+
+
+class CountingDesign:
+    """A design matrix that counts its ``design @ theta`` products; ``design.T`` stays a plain array."""
+
+    def __init__(self, array):
+        self.array = array
+        self.T = array.T
+        self.products = 0
+
+    def __matmul__(self, theta):
+        self.products += 1
+        return self.array @ theta
+
+
+def solve(risk, grad, m):
+    try:
+        return oracles._minimize(risk, grad, m, tol=1e-8, max_iter=3000)
+    except ConvergenceError as err:
+        return err.best_weights, err.gap
+
+
+class TestSharedMixtureProduct:
+    @pytest.mark.parametrize(
+        "kind, genspec",
+        [
+            ("squared", GeneratorSpec("bounded_regression", grid_size=8, noise_level=0.25)),
+            ("phi_logit2", GeneratorSpec("phi_classification", grid_size=8)),
+            ("phi_hinge", GeneratorSpec("margin_classification", grid_size=8)),
+        ],
+    )
+    def test_same_iterates_and_one_product_per_iterate(self, kind, genspec):
+        dist, dictionary = generate_instance(genspec, 6, 23)
+        design = oracles.atom_design(dictionary, LossSpec(kind), dist)
+        assert design.shape[0] != design.shape[1]
+        counting = CountingDesign(design)
+        risk, grad = oracles._risk_closures(counting, kind, dist)
+        seen = []
+
+        def recorded(fn):
+            def call(theta):
+                seen.append(theta)
+                return fn(theta)
+
+            return call
+
+        theta, gap = solve(recorded(risk), recorded(grad), 6)
+        want_theta, want_gap = solve(*unshared_closures(design, kind, dist), 6)
+        assert np.array_equal(theta, want_theta) and gap == want_gap
+        assert counting.products == len({id(t) for t in seen}) < len(seen)
