@@ -20,6 +20,7 @@ here.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,8 +46,8 @@ __all__ = [
 
 PROB_ATOL = 1e-12
 
-# Exact risks reduce at most this many (atom, column) entries at a time, so
-# their products and temporaries stay a few hundred kilobytes.
+# Exact risks reduce, and replicate draws invert, at most this many entries at
+# a time, so their buffers and temporaries stay a few hundred kilobytes.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -74,6 +75,8 @@ class FiniteDistribution:
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"atom probabilities must sum to 1 within {PROB_ATOL}, got {total!r}")
         object.__setattr__(self, "atoms", atoms)
+        # ``(request, indices)`` of the last ``replicate_indices`` call
+        object.__setattr__(self, "_last_draw", None)
 
     @cached_property
     def ys(self) -> np.ndarray:
@@ -120,8 +123,11 @@ class FiniteDistribution:
         ``K`` because ``cdf[-1] = 1 > u``, so each lookup is in range.
         Returns ``intp`` indices.
         """
+        return self._invert(rng.random(size))
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """``cdf.searchsorted(u, side="right")`` of an array of uniforms, by the guide table of ``sample_indices``."""
         buckets, guide, rounds = self._guide
-        u = rng.random(size)
         i = guide.take((u * buckets).astype(np.intp))
         for _ in range(rounds):
             i += self._cdf.take(i) <= u
@@ -137,10 +143,30 @@ class FiniteDistribution:
         contiguously, and of the narrowest unsigned dtype that holds every
         atom index (``np.min_scalar_type(K - 1)``: uint8 up to 256 atoms,
         uint16 up to 65,536).
+
+        Each generator is seeded from the ``uint32`` words of ``[*key, r]``
+        (``_seed_words``), which skips numpy's per-int conversion, and fills
+        one row of a block of uniforms that the guide table inverts at once.
+        The result is read-only and kept on the distribution: a repeated
+        request (the same key words, ``replicates`` and ``size``) returns it
+        without drawing again.  Only the last request is kept.
         """
+        words = _seed_words(key)
+        request = (tuple(words), replicates, size)
+        if self._last_draw is not None and self._last_draw[0] == request:
+            return self._last_draw[1]
+        seed = np.array([*words, 0], dtype=np.uint32)
         idx = np.empty((replicates, size), dtype=np.min_scalar_type(len(self.atoms) - 1), order="F")
-        for r in range(replicates):
-            idx[r] = self.sample_indices(np.random.default_rng([*key, r]), size)
+        rows = _block_width(size)
+        uniforms = np.empty((min(replicates, rows), size))
+        for start in range(0, replicates, rows):
+            block = uniforms[: replicates - start]
+            for r, row in enumerate(block, start):
+                seed[-1] = r
+                np.random.default_rng(seed).random(out=row)
+            idx[start : start + len(block)] = self._invert(block)
+        idx.flags.writeable = False
+        object.__setattr__(self, "_last_draw", (request, idx))
         return idx
 
     def sample(self, rng: np.random.Generator, size: int) -> list:
@@ -187,8 +213,24 @@ def atom_design(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution
     return np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z, _ in dist.atoms])
 
 
-def _block_width(atoms: int) -> int:
-    return max(1, _BLOCK_ENTRIES // atoms)
+def _block_width(length: int) -> int:
+    """How many columns (or rows) of ``length`` entries fit in one block."""
+    return max(1, _BLOCK_ENTRIES // max(length, 1))
+
+
+def _seed_words(key) -> list:
+    """The words numpy's ``SeedSequence`` reads for the non-negative ints of ``key``.
+
+    Each int is its little-endian 32-bit words, at least one (``0`` is
+    ``[0]``, ``2**32`` is ``[0, 1]``).  As a ``uint32`` array they seed the
+    stream of the list of ints.
+    """
+    words = []
+    for k in map(operator.index, key):
+        if k < 0:
+            raise ValueError(f"stream key {tuple(key)!r} has a negative entry; keys are non-negative integers")
+        words += [(k >> shift) & 0xFFFFFFFF for shift in range(0, max(k.bit_length(), 1), 32)]
+    return words
 
 
 def _exact_column_sums(products: np.ndarray) -> list:
@@ -251,17 +293,18 @@ def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, theta
     """Exact risk of the mixture ``design @ theta`` for each weight vector ``theta`` of ``thetas``.
 
     Each mixture is its own matrix-vector product: one ``design @ thetas.T``
-    sums in another order and moves the last digits.  The products pass
-    through one buffer of a block of columns, so memory stays bounded
+    sums in another order and moves the last digits.  A block of weight
+    vectors is one stacked ``matmul`` of ``(M, 1)`` columns, which makes the
+    same matrix-vector call per vector as ``design @ theta``.  The products
+    pass through one buffer of a block of columns, so memory stays bounded
     however many weight vectors there are.
     """
     width = _block_width(len(design))
     buffer = np.empty((width, len(design)))
     risks = []
     for start in range(0, len(thetas), width):
-        chunk = thetas[start : start + width]
-        for row, theta in zip(buffer, chunk):
-            row[:] = design @ theta
+        chunk = np.asarray(thetas[start : start + width])
+        np.matmul(design, chunk[:, :, None], out=buffer[: len(chunk), :, None])
         risks += column_risks(kind, dist, buffer[: len(chunk)].T)
     return risks
 

@@ -91,7 +91,9 @@ class TestNiceLossCheck:
     def test_rerun_is_bitwise_deterministic(self):
         dist, dictionary = benchmark_instance(m=4)
         first = check_nice_loss(SQUARED, dictionary, dist, beta=2.0, n=32, mc_outer=120, seed=99)
-        second = check_nice_loss(SQUARED, dictionary, dist, beta=2.0, n=32, mc_outer=120, seed=99)
+        # a fresh distribution draws again instead of reusing the stored draw
+        fresh = FiniteDistribution(dist.atoms)
+        second = check_nice_loss(SQUARED, dictionary, fresh, beta=2.0, n=32, mc_outer=120, seed=99)
         assert first.estimate == second.estimate
         assert first.std_error == second.std_error
 
@@ -102,6 +104,30 @@ class TestNiceLossCheck:
         base = check_nice_loss(SQUARED, dictionary, dist, beta=4.0, n=24, mc_outer=200, seed=5)
         moved = check_nice_loss(SQUARED, permuted, dist, beta=4.0, n=24, mc_outer=200, seed=5)
         assert abs(base.estimate - moved.estimate) <= 1e-10
+
+    def test_three_temperatures_draw_once(self, monkeypatch):
+        """Three temperatures seed ``mc_outer`` generators in all, and estimate as on fresh distributions."""
+        dist, dictionary = benchmark_instance(m=4)
+        real = np.random.default_rng
+        seeds = []
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        betas = (1.0, math.e, 4.0)
+        shared = [check_nice_loss(SQUARED, dictionary, dist, beta, n=16, mc_outer=150, seed=5) for beta in betas]
+        assert len(seeds) == 150
+        for beta, verdict in zip(betas, shared):
+            fresh_dist = FiniteDistribution(dist.atoms)
+            fresh = check_nice_loss(SQUARED, dictionary, fresh_dist, beta, n=16, mc_outer=150, seed=5)
+            assert (verdict.estimate, verdict.std_error) == (fresh.estimate, fresh.std_error)
+
+    def test_a_negative_seed_is_rejected(self):
+        dist, dictionary = benchmark_instance(m=4)
+        with pytest.raises(ValueError, match=r"\(-1, 6\)"):
+            check_nice_loss(SQUARED, dictionary, dist, beta=1.0, n=8, mc_outer=100, seed=-1)
 
     def test_rejects_bad_arguments(self):
         dist, dictionary = benchmark_instance(m=4)

@@ -133,6 +133,77 @@ class TestDistribution:
             np.testing.assert_array_equal(idx[r], dist.sample_indices(np.random.default_rng([*key, r]), 500))
 
 
+def random_distribution(atoms, seed):
+    ps = np.random.default_rng(seed).dirichlet(np.full(atoms, 0.5))
+    return FiniteDistribution([atom(a, 0.0, float(p)) for a, p in enumerate(ps / ps.sum())])
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """Records the seed of every ``np.random.default_rng`` call."""
+    real = np.random.default_rng
+    seeds = []
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds
+
+
+class TestReplicateDraws:
+    @pytest.mark.parametrize(
+        "key",
+        [(2**32, 6), (0, 6), (2**40 + 7, 5, 2), (np.int64(2**32 - 1), True, 0)],
+        ids=["exactly-2**32", "zero", "above-2**32", "numpy-int-and-bool"],
+    )
+    @pytest.mark.parametrize("size", [1, 65, 5000])
+    def test_rows_are_generator_draws_across_blocks(self, key, size):
+        """Row ``r`` is ``sample_indices`` on ``default_rng([*key, r])``; the last block of uniforms is partly filled."""
+        dist = random_distribution(40, 7)
+        rows = oracles._BLOCK_ENTRIES // size
+        replicates = 2 * rows + 3 if rows < 100 else 7
+        idx = dist.replicate_indices(key, replicates, size)
+        assert idx.shape == (replicates, size) and idx.flags.f_contiguous
+        for r in range(replicates):
+            np.testing.assert_array_equal(idx[r], dist.sample_indices(np.random.default_rng([*key, r]), size))
+
+    def test_seed_words_are_those_numpy_reads(self):
+        """``2**32`` is two words, ``0`` one: the same streams as the keys spelt as words."""
+        assert oracles._seed_words((0, 2**32 - 1, 2**32, 2**64 + 5)) == [0, 2**32 - 1, 0, 1, 5, 0, 1]
+        for key, words in [((2**32,), (0, 1)), ((2**64 + 5, 3), (5, 0, 1, 3))]:
+            ours = np.random.default_rng(np.array(oracles._seed_words(key), dtype=np.uint32)).random(3)
+            np.testing.assert_array_equal(ours, np.random.default_rng(list(words)).random(3))
+            np.testing.assert_array_equal(ours, np.random.default_rng(list(key)).random(3))
+
+    def test_a_repeated_request_returns_the_stored_array(self, seeded):
+        dist = random_distribution(12, 3)
+        seeded.clear()
+        first = dist.replicate_indices((7, 6), 20, 30)
+        assert len(seeded) == 20
+        assert dist.replicate_indices((7, 6), 20, 30) is first
+        assert len(seeded) == 20
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1
+        for key, replicates, size in [((8, 6), 20, 30), ((7, 6), 21, 30), ((7, 6), 20, 31)]:
+            dist = random_distribution(12, 3)
+            stored = dist.replicate_indices((7, 6), 20, 30)
+            seeded.clear()
+            again = dist.replicate_indices(key, replicates, size)
+            assert again is not stored and len(seeded) == replicates
+            np.testing.assert_array_equal(again, random_distribution(12, 3).replicate_indices(key, replicates, size))
+
+    def test_a_negative_key_is_rejected(self):
+        dist = random_distribution(4, 1)
+        with pytest.raises(ValueError, match=re.escape("(3, -1)")):
+            dist.replicate_indices((3, -1), 2, 5)
+        # numpy rejects the same key itself
+        with pytest.raises(ValueError):
+            np.random.default_rng([3, -1, 0])
+
+
 class TestExactRisk:
     def test_single_atom_perfect_fit(self):
         dic = TabularDictionary(np.array([[0.7], [0.0]]))
@@ -486,6 +557,21 @@ class TestColumnRisks:
         thetas = np.random.default_rng(3).dirichlet(np.ones(100), 130)
         mixtures = np.stack([design @ theta for theta in thetas], axis=1)
         assert oracles.mixture_risks(kind, dist, design, thetas) == fsum_columns(kind, dist, mixtures)
+
+    @pytest.mark.parametrize("kind", ["squared", "phi_logit2"])
+    @pytest.mark.parametrize("m", [2, 33])
+    def test_mixture_risks_equal_one_product_per_weight_vector(self, kind, m):
+        """Several blocks of weight vectors: each risk is ``column_risks`` of its own ``design @ theta``."""
+        if kind == "squared":
+            genspec = GeneratorSpec("bounded_regression", grid_size=256, noise_level=0.25)
+        else:
+            genspec = GeneratorSpec("phi_classification", grid_size=128)
+        dist, dictionary = generate_instance(genspec, m, 9)
+        design = oracles.atom_design(dictionary, LossSpec(kind), dist)
+        width = oracles._block_width(len(design))
+        thetas = np.random.default_rng(m).dirichlet(np.ones(m), 2 * width + 5)
+        want = [column_risks(kind, dist, (design @ theta)[:, None])[0] for theta in thetas]
+        assert oracles.mixture_risks(kind, dist, design, thetas) == want
 
 
 def unshared_closures(design, kind, dist):
