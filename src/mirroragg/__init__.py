@@ -7,137 +7,28 @@ variants.  Ships exact risk oracles for finite data distributions,
 checkers for the exponential-moment and concavity conditions that the
 aggregation guarantees rest on, and a deterministic Monte Carlo harness
 for measuring excess-risk decay against the oracle bounds.
+
+The package exports the ``__all__`` of each of its six library modules;
+helpers those modules share (``atom_design``, ``loss_values``, the batch
+kernels) are imported from their module.
 """
 
-from .aggregation import (
-    AggregatorState,
-    MixturePredictor,
-    Schedule,
-    averaged_weights,
-    erm_select,
-    lma_run,
-    ma_init,
-    ma_run,
-    ma_step,
-)
-from .conditions import (
-    ConditionVerdict,
-    NiceBetaReport,
-    check_exp_map_concavity,
-    check_nice_loss,
-    nice_beta_report,
-    surrogate_mixture_loss,
-)
-from .experiments import (
-    BoundCheck,
-    ExperimentConfig,
-    GeneratorSpec,
-    RateFit,
-    ResultRow,
-    default_lma_betas,
-    fit_rate_slope,
-    generate_instance,
-    run_cell,
-    run_dictionary_size,
-    verify_bound,
-)
-from .losses import (
-    DIFFERENTIABLE_KINDS,
-    LOSS_KINDS,
-    PHI_EXPONENTIAL,
-    PHI_HINGE,
-    PHI_KINDS,
-    PHI_LOGIT2,
-    SQUARED,
-    LabeledSample,
-    LossSpec,
-    gradient_second_moment_bound,
-    linearized_loss_vector,
-    loss_gradient_theta,
-    loss_value,
-    minimal_nice_beta,
-    phi_derivatives,
-)
-from .oracles import (
-    ConvergenceError,
-    FiniteDistribution,
-    RiskReport,
-    c_oracle,
-    exact_risk,
-    excess_risk,
-    ms_oracle,
-    optimal_rate,
-)
-from .simplex import (
-    CallableDictionary,
-    Dictionary,
-    TabularDictionary,
-    gibbs_map,
-    mixture_value,
-    renormalize,
-    uniform_weights,
-    validate_weights,
-)
+from . import aggregation, conditions, experiments, losses, oracles, simplex
+from .aggregation import *  # noqa: F403
+from .conditions import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .losses import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .simplex import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatorState",
-    "BoundCheck",
-    "CallableDictionary",
-    "ConditionVerdict",
-    "ConvergenceError",
-    "DIFFERENTIABLE_KINDS",
-    "Dictionary",
-    "ExperimentConfig",
-    "FiniteDistribution",
-    "GeneratorSpec",
-    "LOSS_KINDS",
-    "LabeledSample",
-    "LossSpec",
-    "MixturePredictor",
-    "NiceBetaReport",
-    "PHI_EXPONENTIAL",
-    "PHI_HINGE",
-    "PHI_KINDS",
-    "PHI_LOGIT2",
-    "RateFit",
-    "ResultRow",
-    "RiskReport",
-    "SQUARED",
-    "Schedule",
-    "TabularDictionary",
-    "averaged_weights",
-    "c_oracle",
-    "check_exp_map_concavity",
-    "check_nice_loss",
-    "default_lma_betas",
-    "erm_select",
-    "exact_risk",
-    "excess_risk",
-    "fit_rate_slope",
-    "generate_instance",
-    "gibbs_map",
-    "gradient_second_moment_bound",
-    "linearized_loss_vector",
-    "lma_run",
-    "loss_gradient_theta",
-    "loss_value",
-    "ma_init",
-    "ma_run",
-    "ma_step",
-    "minimal_nice_beta",
-    "mixture_value",
-    "ms_oracle",
-    "nice_beta_report",
-    "optimal_rate",
-    "phi_derivatives",
-    "renormalize",
-    "run_cell",
-    "run_dictionary_size",
-    "surrogate_mixture_loss",
-    "uniform_weights",
-    "validate_weights",
-    "verify_bound",
+    *aggregation.__all__,
+    *conditions.__all__,
+    *experiments.__all__,
+    *losses.__all__,
+    *oracles.__all__,
+    *simplex.__all__,
     "__version__",
 ]

@@ -113,9 +113,6 @@ __all__ = [
     "lma_run",
     "erm_select",
     "averaged_weights",
-    "ma_weights",
-    "lma_weights",
-    "erm_totals",
 ]
 
 # The longest run of multiplicative LMA steps between exact re-anchors, and

@@ -50,7 +50,6 @@ from .oracles import FiniteDistribution, atom_design, c_oracle, mixture_risks, m
 from .simplex import TabularDictionary, require_positive
 
 __all__ = [
-    "FAMILIES",
     "GeneratorSpec",
     "ExperimentConfig",
     "ResultRow",

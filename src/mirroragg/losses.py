@@ -35,16 +35,11 @@ __all__ = [
     "PHI_KINDS",
     "LossSpec",
     "LabeledSample",
-    "check_labels",
-    "check_margin_range",
-    "loss_values",
-    "grad_coef",
     "loss_value",
     "loss_gradient_theta",
     "linearized_loss_vector",
     "gradient_second_moment_bound",
     "minimal_nice_beta",
-    "QUOTED_NICE_BETAS",
     "phi_derivatives",
 ]
 

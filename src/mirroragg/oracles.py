@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,9 +33,6 @@ __all__ = [
     "FiniteDistribution",
     "RiskReport",
     "ConvergenceError",
-    "atom_design",
-    "column_risks",
-    "mixture_risks",
     "exact_risk",
     "ms_oracle",
     "c_oracle",
@@ -296,11 +292,12 @@ def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, theta
     sums in another order and moves the last digits.  A block of weight
     vectors is one stacked ``matmul`` of ``(M, 1)`` columns, which makes the
     same matrix-vector call per vector as ``design @ theta``.  The products
-    pass through one buffer of a block of columns, so memory stays bounded
-    however many weight vectors there are.
+    pass through one buffer of at most a block of columns, and of one
+    column per weight vector when there are fewer, so memory stays bounded
+    however many weight vectors there are and a single one costs no block.
     """
     width = _block_width(len(design))
-    buffer = np.empty((width, len(design)))
+    buffer = np.empty((min(width, len(thetas)), len(design)))
     risks = []
     for start in range(0, len(thetas), width):
         chunk = np.asarray(thetas[start : start + width])
@@ -312,18 +309,19 @@ def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, theta
 def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> float:
     """Exact population risk of a vertex or mixture under ``dist``.
 
-    An integer selects the single function ``f_j``; a weight vector selects
-    the mixture.  The expectation over atoms is ``column_risks`` of one
-    column, so the result is the exact sum rounded once.
+    An integer selects the single function ``f_j``, whose values are
+    ``column_risks``' one column; a weight vector selects the mixture, whose
+    risk is ``mixture_risks``' as for ``c_oracle``.  Either way the result
+    is the exact sum over atoms rounded once.
     """
-    if isinstance(theta_or_index, (int, np.integer)):
-        dist.validate_for(spec)
-        j = int(theta_or_index)
-        if not 0 <= j < dictionary.size:
-            raise ValueError(f"function index {j} outside dictionary of size {dictionary.size}")
-        values = np.asarray([dictionary.evaluate(j, z.x) for z, _ in dist.atoms], dtype=float)
-    else:
-        values = atom_design(dictionary, spec, dist) @ validate_weights(theta_or_index, size=dictionary.size)
+    if not isinstance(theta_or_index, (int, np.integer)):
+        design = atom_design(dictionary, spec, dist)
+        return mixture_risks(spec.kind, dist, design, [validate_weights(theta_or_index, size=dictionary.size)])[0]
+    dist.validate_for(spec)
+    j = int(theta_or_index)
+    if not 0 <= j < dictionary.size:
+        raise ValueError(f"function index {j} outside dictionary of size {dictionary.size}")
+    values = np.asarray([dictionary.evaluate(j, z.x) for z, _ in dist.atoms], dtype=float)
     return column_risks(spec.kind, dist, values[:, None])[0]
 
 
@@ -337,36 +335,6 @@ def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) 
     return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0, arm_risks=tuple(risks))
 
 
-def _risk_closures(design, kind, dist):
-    """Fast risk/gradient closures over the atom design matrix.
-
-    Both share one ``design @ theta`` per weight-vector object: it is
-    computed at the first call on that object and dropped when the object
-    is freed.
-    """
-    ys = dist.ys
-    ps = dist.ps
-    mixes = {}
-
-    def mixture(theta):
-        key = id(theta)
-        if key not in mixes:
-            mixes[key] = (weakref.ref(theta, lambda _: mixes.pop(key)), design @ theta)
-        return mixes[key][1]
-
-    def risk(theta):
-        return float(ps @ loss_values(kind, ys, mixture(theta)))
-
-    def grad(theta):
-        mix = mixture(theta)
-        if kind == PHI_HINGE:
-            # subgradient: slope 1 wherever the margin 1 - y f is exactly zero
-            return design.T @ (ps * (ys * mix <= 1.0) * -ys)
-        return design.T @ (ps * grad_coef(kind, ys, mix))
-
-    return risk, grad
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     u = np.sort(v)[::-1]
@@ -377,35 +345,51 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _minimize(risk, grad, m, tol, max_iter):
+def _minimize(design, kind, dist, tol, max_iter):
     """Accelerated projected gradient with backtracking and restarts.
 
-    Acceleration is dropped after an initial phase: the momentum steps
-    make early progress but oscillate near the optimum, while plain
-    backtracked projected-gradient steps are monotone and let the vertex
-    gap settle below the certification tolerance.  ``grad`` may be a
-    subgradient (hinge): the steps are then only a heuristic, and the
+    Each point (the iterate, the momentum point, each backtracking
+    candidate) carries its mixture ``design @ theta``: one product per point
+    serves both its risk and its gradient.  Acceleration is dropped after an
+    initial phase: the momentum steps make early progress but oscillate near
+    the optimum, while plain backtracked projected-gradient steps are
+    monotone and let the vertex gap settle below the certification
+    tolerance.  For the hinge loss the gradient is the subgradient with
+    slope 1 at a zero margin: the steps are then only a heuristic, and the
     vertex gap alone decides success.  Returns ``(theta, gap)`` once
     ``gap <= tol``, else raises ``ConvergenceError`` with the last iterate,
-    its risk and its own gap.  ``theta`` only moves to a candidate of no
-    larger risk, so the last iterate has the lowest risk any reached.
+    its risk and its own gap.  ``theta`` only moves to a candidate of no larger
+    risk, so the last iterate has the lowest risk any reached.
     """
+    ys, ps = dist.ys, dist.ps
+
+    def risk(mix):
+        return float(ps @ loss_values(kind, ys, mix))
+
+    def grad(mix):
+        if kind == PHI_HINGE:
+            # subgradient: slope 1 wherever the margin 1 - y f is exactly zero
+            return design.T @ (ps * (ys * mix <= 1.0) * -ys)
+        return design.T @ (ps * grad_coef(kind, ys, mix))
+
     accel_phase = min(2000, max_iter)
-    theta = uniform_weights(m)
+    theta = uniform_weights(design.shape[1])
+    theta_mix = design @ theta
     momentum = theta.copy()
     t_acc = 1.0
     lips = 1.0
-    f_theta = risk(theta)
+    f_theta = risk(theta_mix)
     for it in range(max_iter):
         accelerated = it < accel_phase
-        point = momentum if accelerated else theta
-        g_y = grad(point)
-        f_y = risk(point)
+        point, point_mix = (momentum, design @ momentum) if accelerated else (theta, theta_mix)
+        g_y = grad(point_mix)
+        f_y = risk(point_mix)
         while True:
             cand = _project_simplex(point - g_y / lips)
+            cand_mix = design @ cand
             diff = cand - point
             quad = f_y + float(g_y @ diff) + 0.5 * lips * float(diff @ diff)
-            f_cand = risk(cand)
+            f_cand = risk(cand_mix)
             if f_cand <= quad + 1e-15 or lips > 1e18:
                 break
             lips *= 2.0
@@ -417,10 +401,10 @@ def _minimize(risk, grad, m, tol, max_iter):
                 t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
                 momentum = _project_simplex(cand + ((t_acc - 1.0) / t_next) * (cand - theta))
                 t_acc = t_next
-                theta, f_theta = cand, f_cand
+                theta, theta_mix, f_theta = cand, cand_mix, f_cand
         elif f_cand <= f_theta:
-            theta, f_theta = cand, f_cand
-        g_theta = grad(theta)
+            theta, theta_mix, f_theta = cand, cand_mix, f_cand
+        g_theta = grad(theta_mix)
         gap = float(theta @ g_theta - g_theta.min())
         if gap <= tol:
             return theta, gap
@@ -457,10 +441,9 @@ def c_oracle(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     design = atom_design(dictionary, spec, dist)
-    risk, grad = _risk_closures(design, spec.kind, dist)
-    theta, gap = _minimize(risk, grad, dictionary.size, tol, max_iter)
+    theta, gap = _minimize(design, spec.kind, dist, tol, max_iter)
     return RiskReport(
-        risk_value=column_risks(spec.kind, dist, (design @ theta)[:, None])[0],
+        risk_value=mixture_risks(spec.kind, dist, design, [theta])[0],
         oracle_kind="C",
         minimizer=theta,
         gap_certificate=gap,

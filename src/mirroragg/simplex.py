@@ -13,12 +13,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "require_positive",
     "uniform_weights",
     "validate_weights",
     "renormalize",
     "gibbs_map",
-    "softmin",
     "mixture_value",
     "Dictionary",
     "TabularDictionary",

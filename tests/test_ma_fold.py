@@ -1,0 +1,89 @@
+"""``ma_weights`` against a long-double fold, inside a stated rounding budget.
+
+The reference folds each replicate's observations with the MA recursion
+in ``np.longdouble`` (a 64-bit mantissa on x86-64), so that its own
+rounding stays far below the kernel's.  Rows never interact, so the fold
+runs every replicate at once, one row each.  The kernel must sit within
+``n * eps * G / beta0`` of it, with ``eps`` the float64 machine epsilon and
+``G`` a bound on the gradient coefficient of the loss over labels and
+mixtures in [-1, 1]: ``2 * |y - f| <= 4`` for squared,
+``exp(-y f) <= e`` for phi_exponential and ``1 / ln 2`` for phi_logit2.
+Scores reach ``n * G`` and the temperatures ``beta0 * sqrt(t)``, so a
+rounding of ``eps`` per step moves a weight by at most about that much.
+The constant in front is 1, fixed before the first run.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mirroragg import Schedule
+from mirroragg.aggregation import _arm_layout, ma_weights
+
+LD = np.longdouble
+EPS = np.finfo(float).eps
+COEF_BOUND = {"squared": 4.0, "phi_exponential": math.e, "phi_logit2": 1.0 / math.log(2.0)}
+
+
+def longdouble_coef(kind, y, f):
+    """``grad_coef`` in long double."""
+    if kind == "squared":
+        return -2 * (y - f)
+    if kind == "phi_exponential":
+        return -y * np.exp(-y * f)
+    return -y / (1 + np.exp(y * f)) / np.log(LD(2))
+
+
+def longdouble_ma_fold(idx, design, ys, kind, betas):
+    """Averaged MA weights after every step of ``idx``, each row folded on its own in long double."""
+    design, ys = design.astype(LD), ys.astype(LD)
+    reps, m = idx.shape[0], design.shape[1]
+    scores = np.zeros((reps, m), LD)
+    mirrored = np.full((reps, m), 1 / LD(m))
+    total = np.zeros((reps, m), LD)
+    for t in range(idx.shape[1]):
+        f = design[idx[:, t]]
+        mix = (mirrored * f).sum(axis=1, keepdims=True)
+        total += mirrored
+        scores += longdouble_coef(kind, ys[idx[:, t]][:, None], mix) * f
+        z = scores / LD(betas[t])
+        w = np.exp(z.min(axis=1, keepdims=True) - z)
+        mirrored = w / w.sum(axis=1, keepdims=True)
+    return (total / idx.shape[1]).astype(float)
+
+
+def random_table(rng, kind, atoms, m):
+    design = rng.uniform(-1.0, 1.0, (atoms, m))
+    if kind == "squared":
+        ys = rng.uniform(-1.0, 1.0, atoms)
+    else:
+        ys = rng.choice([-1.0, 1.0], atoms)
+    return design, ys
+
+
+CASES = [
+    # (kind, atoms, arms, n, replicates, seed): R > M is the arm-major layout
+    ("squared", 32, 3, 1500, 40, 1),
+    ("squared", 5, 24, 300, 4, 2),
+    ("squared", 2, 2, 50, 1, 3),
+    ("phi_exponential", 17, 8, 300, 40, 4),
+    ("phi_exponential", 9, 32, 1500, 4, 5),
+    ("phi_exponential", 24, 2, 50, 4, 6),
+    ("phi_logit2", 3, 12, 300, 40, 7),
+    ("phi_logit2", 32, 32, 50, 1, 8),
+    ("phi_logit2", 11, 5, 1500, 4, 9),
+]
+
+
+@pytest.mark.parametrize("kind, atoms, m, n, reps, seed", CASES)
+def test_ma_weights_within_the_rounding_budget_of_the_long_double_fold(kind, atoms, m, n, reps, seed):
+    rng = np.random.default_rng(seed)
+    design, ys = random_table(rng, kind, atoms, m)
+    beta0 = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+    betas = Schedule.sqrt_growth(beta0).betas(n)
+    idx = rng.integers(0, atoms, (reps, n))
+    assert _arm_layout(reps, design)[0] == ("F" if reps > m else "C")
+    [got] = ma_weights(idx, design, ys, kind, betas, (n,))
+    budget = n * EPS * COEF_BOUND[kind] / beta0
+    assert np.abs(got - longdouble_ma_fold(idx, design, ys, kind, betas)).max() <= budget

@@ -573,45 +573,33 @@ class TestColumnRisks:
         want = [column_risks(kind, dist, (design @ theta)[:, None])[0] for theta in thetas]
         assert oracles.mixture_risks(kind, dist, design, thetas) == want
 
-
-def unshared_closures(design, kind, dist):
-    """The solver's risk and gradient closures as they were before they shared one mixture product."""
-    ys = dist.ys
-    ps = dist.ps
-
-    def risk(theta):
-        return float(ps @ loss_values(kind, ys, design @ theta))
-
-    def grad(theta):
-        mix = design @ theta
-        if kind == PHI_HINGE:
-            return design.T @ (ps * (ys * mix <= 1.0) * -ys)
-        return design.T @ (ps * grad_coef(kind, ys, mix))
-
-    return risk, grad
+    @pytest.mark.parametrize("atoms, m", [(1, 1), (1, 7), (9, 1), (5, 3), (40, 17)])
+    def test_one_weight_vector_is_one_product(self, atoms, m):
+        """One weight vector, down to one atom or one arm: ``mixture_risks`` and ``exact_risk`` price its own ``design @ theta``."""
+        rng = np.random.default_rng(atoms * 100 + m)
+        dictionary, dist = random_regression_instance(rng, m, atoms)
+        design = oracles.atom_design(dictionary, LossSpec("squared"), dist)
+        for theta in rng.dirichlet(np.ones(m), 30):
+            want = column_risks("squared", dist, (design @ theta)[:, None])
+            assert oracles.mixture_risks("squared", dist, design, [theta]) == want
+            assert exact_risk(theta, dictionary, LossSpec("squared"), dist) == want[0]
 
 
 class CountingDesign:
-    """A design matrix that counts its ``design @ theta`` products; ``design.T`` stays a plain array."""
+    """A design matrix that keeps the point of each ``design @ theta`` product; ``design.T`` stays a plain array."""
 
     def __init__(self, array):
         self.array = array
         self.T = array.T
-        self.products = 0
+        self.shape = array.shape
+        self.points = []
 
     def __matmul__(self, theta):
-        self.products += 1
+        self.points.append(theta)
         return self.array @ theta
 
 
-def solve(risk, grad, m):
-    try:
-        return oracles._minimize(risk, grad, m, tol=1e-8, max_iter=3000)
-    except ConvergenceError as err:
-        return err.best_weights, err.gap
-
-
-class TestSharedMixtureProduct:
+class TestSolverMixtures:
     @pytest.mark.parametrize(
         "kind, genspec",
         [
@@ -620,22 +608,22 @@ class TestSharedMixtureProduct:
             ("phi_hinge", GeneratorSpec("margin_classification", grid_size=8)),
         ],
     )
-    def test_same_iterates_and_one_product_per_iterate(self, kind, genspec):
+    def test_one_product_per_point_and_the_gap_of_a_fresh_product(self, kind, genspec):
+        """Every point the solver visits carries its own mixture, and the gap it returns is the final iterate's."""
         dist, dictionary = generate_instance(genspec, 6, 23)
         design = oracles.atom_design(dictionary, LossSpec(kind), dist)
         assert design.shape[0] != design.shape[1]
         counting = CountingDesign(design)
-        risk, grad = oracles._risk_closures(counting, kind, dist)
-        seen = []
-
-        def recorded(fn):
-            def call(theta):
-                seen.append(theta)
-                return fn(theta)
-
-            return call
-
-        theta, gap = solve(recorded(risk), recorded(grad), 6)
-        want_theta, want_gap = solve(*unshared_closures(design, kind, dist), 6)
-        assert np.array_equal(theta, want_theta) and gap == want_gap
-        assert counting.products == len({id(t) for t in seen}) < len(seen)
+        try:
+            theta, gap = oracles._minimize(counting, kind, dist, tol=1e-8, max_iter=3000)
+        except ConvergenceError as err:
+            theta, gap = err.best_weights, err.gap
+        # every point is kept alive by the list, so distinct ids are distinct objects
+        assert len({id(point) for point in counting.points}) == len(counting.points) > 2
+        assert any(point is theta for point in counting.points)
+        ps, ys, mix = dist.ps, dist.ys, design @ theta
+        if kind == PHI_HINGE:
+            g = design.T @ (ps * (ys * mix <= 1.0) * -ys)
+        else:
+            g = design.T @ (ps * grad_coef(kind, ys, mix))
+        assert gap == float(theta @ g - g.min())

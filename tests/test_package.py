@@ -1,4 +1,4 @@
-"""Package-wide rules: module boundaries, runtime dependencies, kernel signatures and the benchmark tracer's names."""
+"""Package-wide rules: exports, module boundaries, runtime dependencies, kernel signatures and the benchmark tracer's names."""
 
 import ast
 import importlib
@@ -14,6 +14,42 @@ from mirroragg.aggregation import Schedule, erm_totals, lma_weights, ma_weights
 
 SOURCE = Path(mirroragg.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = [
+    importlib.import_module(f"mirroragg.{name}")
+    for name in ("aggregation", "conditions", "experiments", "losses", "oracles", "simplex")
+]
+
+
+def test_no_two_modules_export_one_name():
+    """The package star-imports every module, so a shared name would shadow another."""
+    owners: dict = {}
+    for module in MODULES:
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+
+def test_the_package_exports_exactly_its_modules_exports():
+    union = {name for module in MODULES for name in module.__all__}
+    assert len(mirroragg.__all__) == len(set(mirroragg.__all__))
+    assert set(mirroragg.__all__) == union | {"__version__"}
+    public = {
+        name
+        for name in dir(mirroragg)
+        if not name.startswith("_") and not inspect.ismodule(getattr(mirroragg, name))
+    }
+    assert public == union
+
+
+def test_each_exported_function_or_class_is_defined_where_it_is_listed():
+    misplaced = [
+        f"{module.__name__}.{name} from {getattr(module, name).__module__}"
+        for module in MODULES
+        for name in module.__all__
+        if (inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name)))
+        and getattr(module, name).__module__ != module.__name__
+    ]
+    assert misplaced == []
 
 
 def test_no_private_name_is_imported_across_modules():
