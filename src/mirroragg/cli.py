@@ -29,7 +29,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -257,6 +256,9 @@ def cmd_run(args) -> int:
     workers = min(args.jobs, len(config.m_grid), os.cpu_count() or 1)
     _write_manifest(out_dir, digest, config.master_seed, [results_path], workers=workers)
     if workers > 1:
+        # imported here, so only a run that forks loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # every unit folds to the same largest n, so the largest M takes
         # longest: submit it first, then read outcomes back in grid order
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import subprocess
@@ -121,7 +122,7 @@ def record_pools(monkeypatch):
             future.set_result(fn(unit))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return pools, submitted
 
 
@@ -397,6 +398,35 @@ def test_manifest_names_the_output_and_its_digest(tmp_path, command, config_text
     assert digest_line == f"# digest={manifest['digest']}"
     assert manifest["outputs"] == [str(out / name)]
     assert manifest["master_seed"] == seed
+
+
+POOL_MODULES_SCRIPT = """\
+import sys
+import mirroragg, mirroragg.cli as cli
+run_config, conditions_config, out = sys.argv[1:]
+assert cli.main(["run", "--config", run_config, "--out", out + "/run", "--jobs", "1", "--quiet"]) == 0
+assert cli.main(["check-conditions", "--config", conditions_config, "--out", out + "/conditions", "--quiet"]) == 0
+assert cli.main(["rates", "--n", "10", "--m", "2", "--out", out + "/rates", "--quiet"]) == 0
+pool_modules = ("multiprocessing", "concurrent.futures.process")
+print(*[name in sys.modules for name in pool_modules])
+import concurrent.futures
+concurrent.futures.ProcessPoolExecutor
+print(*[name in sys.modules for name in pool_modules])
+"""
+
+
+def test_only_a_run_that_forks_loads_the_process_pool(tmp_path):
+    """A ``--jobs 1`` run, ``check-conditions`` and ``rates`` in a fresh interpreter leave the pool unimported.
+
+    The last line shows that looking the pool up does load both modules,
+    so the check can see them.
+    """
+    argv = [write_config(tmp_path, RUN_CONFIG, "run.ini"), write_config(tmp_path, CONDITIONS_CONFIG, "conditions.ini")]
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_MODULES_SCRIPT, *argv, str(tmp_path / "out")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False False", "True True"]
 
 
 class TestRatesCommand:

@@ -1,4 +1,4 @@
-"""``ma_weights`` against a long-double fold, inside a stated rounding budget.
+"""The replicate kernels against long-double folds, inside stated rounding budgets.
 
 The reference folds each replicate's observations with the MA recursion
 in ``np.longdouble`` (a 64-bit mantissa on x86-64), so that its own
@@ -11,6 +11,15 @@ mixtures in [-1, 1]: ``2 * |y - f| <= 4`` for squared,
 Scores reach ``n * G`` and the temperatures ``beta0 * sqrt(t)``, so a
 rounding of ``eps`` per step moves a weight by at most about that much.
 The constant in front is 1, fixed before the first run.
+
+``lma_weights`` must sit within ``n * eps * (1 + D / beta)`` of its fold,
+with ``D`` the table's largest per-atom spread of losses: an exact softmin
+reads scores of up to ``n * D / beta`` in units of the temperature, and a
+factor step rounds each weight (at most 1) by about ``eps``.
+``erm_totals`` must sit within ``n * eps * sum_t |L[a_t, j]|`` of the
+long-double sums, entry by entry: each of the ``n`` additions rounds a
+partial sum no larger than that by at most ``eps / 2`` of it.  Both
+constants are 1, fixed before the first run.
 """
 
 import math
@@ -19,7 +28,7 @@ import numpy as np
 import pytest
 
 from mirroragg import Schedule
-from mirroragg.aggregation import _arm_layout, ma_weights
+from mirroragg.aggregation import _arm_layout, erm_totals, lma_weights, ma_weights
 
 LD = np.longdouble
 EPS = np.finfo(float).eps
@@ -87,3 +96,80 @@ def test_ma_weights_within_the_rounding_budget_of_the_long_double_fold(kind, ato
     [got] = ma_weights(idx, design, ys, kind, betas, (n,))
     budget = n * EPS * COEF_BOUND[kind] / beta0
     assert np.abs(got - longdouble_ma_fold(idx, design, ys, kind, betas)).max() <= budget
+
+
+def longdouble_lma_fold(idx, losses, beta, checkpoints):
+    """Averaged LMA weights at each checkpoint, the softmin of every prefix sum of loss rows in long double.
+
+    The rows are taken less their minima, which is exact in long double
+    and leaves every softmin as it is.
+    """
+    shifted = losses.astype(LD) - losses.min(axis=1, keepdims=True)
+    scores = np.zeros((idx.shape[0], losses.shape[1]), LD)
+    total = np.zeros_like(scores)
+    averaged = []
+    for t in range(checkpoints[-1]):
+        z = scores / LD(beta)
+        w = np.exp(z.min(axis=1, keepdims=True) - z)
+        total += w / w.sum(axis=1, keepdims=True)
+        scores += shifted[idx[:, t]]
+        if t + 1 in checkpoints:
+            averaged.append((total / (t + 1)).astype(float))
+    return averaged
+
+
+LMA_CASES = [
+    # (atoms, arms, n, replicates, spread / beta, offset / beta, seed): offsets shift each atom's row
+    (32, 3, 1500, 40, 0.01, 0.0, 11),
+    (5, 24, 300, 4, 1.0, 1e4, 12),
+    (2, 2, 50, 1, 20.0, 1.0, 13),
+    (17, 8, 300, 40, 5.0, 1e2, 14),
+    (9, 32, 1500, 4, 0.3, 1.0, 15),
+    (24, 2, 50, 4, 700.0, 1e4, 16),
+    (3, 12, 300, 40, 5000.0, 0.0, 17),
+    (32, 32, 50, 1, 60.0, 1e3, 18),
+    (11, 5, 1500, 4, 2.0, 10.0, 19),
+]
+
+
+@pytest.mark.parametrize("atoms, m, n, reps, ratio, offset, seed", LMA_CASES)
+def test_lma_weights_within_the_rounding_budget_of_the_long_double_fold(atoms, m, n, reps, ratio, offset, seed):
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.1, 10.0))
+    unit = rng.uniform(0.0, 1.0, (atoms, m))
+    unit[0, :2] = (0.0, 1.0)
+    losses = beta * (ratio * unit + offset * rng.uniform(-1.0, 1.0, (atoms, 1)))
+    idx = rng.integers(0, atoms, (reps, n))
+    checkpoints = (n // 3, n)
+    spread = float((losses.max(axis=1) - losses.min(axis=1)).max())
+    got = lma_weights(idx, losses, beta, checkpoints)
+    for c, kernel, fold in zip(checkpoints, got, longdouble_lma_fold(idx, losses, beta, checkpoints)):
+        assert np.abs(kernel - fold).max() <= c * EPS * (1 + spread / beta)
+
+
+ERM_CASES = [
+    # (atoms, arms, n, replicates, offset, seed): losses in [0, 1) plus a per-atom offset
+    (32, 3, 1500, 40, 0.0, 21),
+    (5, 24, 300, 4, 1e4, 22),
+    (2, 2, 50, 1, 1.0, 23),
+    (17, 64, 2048, 8, 1e2, 24),
+    (3, 12, 300, 40, -1e3, 25),
+]
+
+
+@pytest.mark.parametrize("atoms, m, n, reps, offset, seed", ERM_CASES)
+def test_erm_totals_within_the_rounding_budget_of_long_double_sums(atoms, m, n, reps, offset, seed):
+    """Totals within budget, and a selection that differs only between arms the budget cannot order."""
+    rng = np.random.default_rng(seed)
+    losses = rng.uniform(0.0, 1.0, (atoms, m)) + offset * rng.uniform(-1.0, 1.0, (atoms, 1))
+    idx = rng.integers(0, atoms, (reps, n))
+    checkpoints = (n // 3, n)
+    steps = losses.astype(LD)[idx]
+    for c, got in zip(checkpoints, erm_totals(idx, losses, checkpoints)):
+        exact = steps[:, :c].sum(axis=1)
+        budget = (c * EPS * np.abs(steps[:, :c]).sum(axis=1)).astype(float)
+        assert (np.abs(got - exact) <= budget).all()
+        rows = np.arange(reps)
+        chosen, best = got.argmin(axis=1), exact.argmin(axis=1)
+        gap = (exact[rows, chosen] - exact[rows, best]).astype(float)
+        assert (gap <= budget[rows, chosen] + budget[rows, best]).all()

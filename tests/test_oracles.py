@@ -91,6 +91,27 @@ class TestDistribution:
                 # both consumed the stream alike, so later draws agree too
                 assert ours.random() == numpy_choice.random()
 
+    def test_a_table_of_many_rounds_draws_by_binary_search_and_still_equals_generator_choice(self):
+        """Dirichlet(0.01) over 699 atoms leaves atoms near 1e-311 in probability.
+
+        The guide table would need 67 rounds, past the 3 * 10 at which
+        ``_invert`` switches to one ``searchsorted``; the indices and the use
+        of the stream must not change.
+        """
+        ps = np.random.default_rng(1).dirichlet(np.full(699, 0.01))
+        dist = FiniteDistribution([atom(a, 0.0, float(p)) for a, p in enumerate(ps / ps.sum())])
+        assert dist._guide[2] == 67
+        for seed in range(6):
+            ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = dist.sample_indices(ours, 5000)
+            np.testing.assert_array_equal(drawn, numpy_choice.choice(699, 5000, p=dist.ps))
+            assert drawn.dtype == np.intp
+            assert ours.random() == numpy_choice.random()
+        idx = dist.replicate_indices((4, 2), 3, 700)
+        assert idx.dtype == np.uint16
+        for r in range(3):
+            np.testing.assert_array_equal(idx[r], np.random.default_rng([4, 2, r]).choice(699, 700, p=dist.ps))
+
     @pytest.mark.parametrize(
         "ps",
         [
@@ -98,8 +119,10 @@ class TestDistribution:
             np.array([1 - 3e-6, 1e-6, 1e-6, 1e-6]),  # the three tail atoms share one bucket
             np.random.default_rng(128).dirichlet(np.full(128, 0.2)),
             np.random.default_rng(5).dirichlet(np.ones(300)),
+            # 67 rounds: inverted by one binary search
+            np.random.default_rng(1).dirichlet(np.full(699, 0.01)),
         ],
-        ids=["uniform-32", "tail-in-one-bucket", "dirichlet-128", "dirichlet-300"],
+        ids=["uniform-32", "tail-in-one-bucket", "dirichlet-128", "dirichlet-300", "dirichlet-699-many-rounds"],
     )
     def test_index_draws_invert_the_cdf_at_its_edges(self, ps):
         """Chosen uniforms: 0, every bucket edge of any table up to 2**14
