@@ -8,7 +8,9 @@ folds the configured algorithms over them once, and reports at each
 sample size ``n`` of the grid the mean excess risk of each over the
 first ``n`` draws, against its own oracle only (the selector's is the
 selection oracle).  ``run_cell`` is the same pass at one sample size.
-The aggregation rows also carry the theoretical bound value:
+The pass tabulates the instance once: the table-level oracles
+(``ms_oracle_of_losses``, ``c_oracle_of_design``) and the three kernels
+read one ``atom_design`` and one loss table.  The aggregation rows also carry the theoretical bound value:
 
 * linearized algorithm, selection oracle: ``beta * log(M) / (n + 1)``;
 * gradient algorithm, convex oracle: ``2 * sqrt(Qstar * log(M) / n)``.
@@ -46,7 +48,17 @@ from .losses import (
     loss_values,
     minimal_nice_beta,
 )
-from .oracles import FiniteDistribution, atom_design, c_oracle, mixture_risks, ms_oracle
+# ms_oracle and c_oracle are unused here but stay names of this module:
+# perfbench's tracer wraps experiments.ms_oracle and experiments.c_oracle
+from .oracles import (  # noqa: F401
+    FiniteDistribution,
+    atom_design,
+    c_oracle,
+    c_oracle_of_design,
+    mixture_risks,
+    ms_oracle,
+    ms_oracle_of_losses,
+)
 from .simplex import TabularDictionary, require_positive
 
 __all__ = [
@@ -83,6 +95,9 @@ _REPLICATE_TAG = len(FAMILIES) + 1
 
 # the oracle each algorithm's rows are measured against
 _ORACLE_OF = {"MA": "C", "LMA": "MS", "ERM": "MS"}
+
+# the MA schedule of each ``ma_schedule`` name, from ``beta0``
+_MA_SCHEDULES = {"sqrt_growth": Schedule.sqrt_growth, "constant": Schedule.constant}
 
 
 @dataclass(frozen=True)
@@ -257,8 +272,9 @@ class ExperimentConfig:
             require_positive("lma_betas", beta)
         if self.ma_beta0 is not None:
             require_positive("ma_beta0", self.ma_beta0)
-        if self.ma_schedule not in ("sqrt_growth", "constant"):
-            raise ValueError(f"ma_schedule must be 'sqrt_growth' or 'constant', got {self.ma_schedule!r}")
+        if self.ma_schedule not in _MA_SCHEDULES:
+            names = " or ".join(map(repr, _MA_SCHEDULES))
+            raise ValueError(f"ma_schedule must be {names}, got {self.ma_schedule!r}")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
         if self.loss.kind in PHI_KINDS and self.generator.family in _REGRESSION_FAMILIES:
@@ -311,22 +327,21 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     selector).
     """
     loss = config.loss
+    kind = loss.kind
     dist, dictionary = generate_instance(config.generator, m, config.master_seed)
-    reported = {_ORACLE_OF[algorithm] for algorithm in config.algorithms}
-    oracles = {
-        okind: solve(dictionary, loss, dist)
-        for okind, solve in (("MS", ms_oracle), ("C", c_oracle))
-        if okind in reported
-    }
-
     design = atom_design(dictionary, loss, dist)
     # past the tabulation the pass needs only the range bound; releasing the
-    # dictionary's values lowers the peak while the kernels build their tables
+    # dictionary's values lowers the peak while the oracles and kernels run
     range_bound = dictionary.range_bound
     del dictionary
-    kind = loss.kind
     check_margin_range(kind, design)
     losses = loss_values(kind, dist.ys[:, None], design)
+    reported = {_ORACLE_OF[algorithm] for algorithm in config.algorithms}
+    oracles = {}
+    if "MS" in reported:
+        oracles["MS"] = ms_oracle_of_losses(losses, dist)
+    if "C" in reported:
+        oracles["C"] = c_oracle_of_design(design, kind, dist)
     reps = config.replications
     checkpoints = sorted(config.n_grid)
     idx = dist.replicate_indices((config.master_seed, _REPLICATE_TAG, m), reps, checkpoints[-1])
@@ -373,11 +388,7 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
         elif algorithm == "MA":
             qstar = gradient_second_moment_bound(loss, range_bound)
             beta0 = config.ma_beta0 if config.ma_beta0 is not None else math.sqrt(qstar / log_m)
-            if config.ma_schedule == "sqrt_growth":
-                schedule = Schedule.sqrt_growth(beta0)
-            else:
-                schedule = Schedule.constant(beta0)
-            ma_betas = schedule.betas(checkpoints[-1])
+            ma_betas = _MA_SCHEDULES[config.ma_schedule](beta0).betas(checkpoints[-1])
             achieved_at = [
                 mixture_risks(kind, dist, design, thetas)
                 for thetas in ma_weights(idx, design, dist.ys, kind, ma_betas, checkpoints)

@@ -12,9 +12,13 @@ The convex oracle is found by one projected-gradient minimizer for every
 loss and certified by the vertex gap ``theta . g - min_j g_j`` with ``g``
 the exact risk gradient, which upper-bounds the suboptimality of a convex
 objective over the simplex.  For the hinge loss ``g`` is a subgradient
-that takes slope 1 at a zero margin, so the gap stays a true bound.  The
-reference rate curves for both aggregation problems are also provided
-here.
+that takes slope 1 at a zero margin, so the gap stays a true bound.
+
+Each oracle has a table-level form that reads what a caller has already
+tabulated: ``ms_oracle_of_losses`` the per-atom loss table and
+``c_oracle_of_design`` the ``atom_design`` table.  ``ms_oracle`` and
+``c_oracle`` tabulate a dictionary and call them.  The reference rate
+curves for both aggregation problems are also provided here.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ __all__ = [
     "ConvergenceError",
     "exact_risk",
     "ms_oracle",
+    "ms_oracle_of_losses",
     "c_oracle",
+    "c_oracle_of_design",
     "optimal_rate",
     "excess_risk",
 ]
@@ -274,21 +280,29 @@ def _exact_column_sums(products: np.ndarray) -> list:
     return sums
 
 
+def _expected_columns(table: np.ndarray, dist: FiniteDistribution) -> list:
+    """``sum_a p_a * table[a, c]`` of each column of a ``(K atoms, C columns)`` array, exact and rounded once.
+
+    Bit for bit ``math.fsum`` of each column's products.  Columns are
+    reduced in blocks of at most ``_BLOCK_ENTRIES`` entries, so memory past
+    ``table`` stays bounded however many columns there are.
+    """
+    ps = dist.ps[:, None]
+    width = _block_width(len(ps))
+    sums = []
+    for start in range(0, table.shape[1], width):
+        sums += _exact_column_sums(ps * table[:, start : start + width])
+    return sums
+
+
 def column_risks(kind: str, dist: FiniteDistribution, values: np.ndarray) -> list:
     """Exact risk of each column of a ``(K atoms, C columns)`` array of prediction values.
 
     ``values[a, c]`` is column ``c``'s prediction at atom ``a``.  Each risk
     is the sum over atoms of ``p_a`` times the loss at ``values[a, c]``,
-    rounded once: bit for bit ``math.fsum`` of those products.  Columns are
-    reduced in blocks of at most ``_BLOCK_ENTRIES`` entries, so memory past
-    ``values`` stays bounded however many columns there are.
+    rounded once: bit for bit ``math.fsum`` of those products.
     """
-    ps, ys = dist.ps[:, None], dist.ys[:, None]
-    width = _block_width(len(ps))
-    risks = []
-    for start in range(0, values.shape[1], width):
-        risks += _exact_column_sums(ps * loss_values(kind, ys, values[:, start : start + width]))
-    return risks
+    return _expected_columns(loss_values(kind, dist.ys[:, None], values), dist)
 
 
 def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, thetas) -> list:
@@ -331,14 +345,22 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
     return column_risks(spec.kind, dist, values[:, None])[0]
 
 
-def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> RiskReport:
-    """Best single dictionary function, by exhaustive enumeration.
+def ms_oracle_of_losses(losses: np.ndarray, dist: FiniteDistribution) -> RiskReport:
+    """Best single dictionary function of a per-atom loss table, by exhaustive enumeration.
 
-    Ties break to the lowest index.
+    ``losses[a, j]`` is function ``j``'s loss at atom ``a`` of ``dist``:
+    ``loss_values(kind, dist.ys[:, None], design)`` of an ``atom_design``.
+    ``arm_risks`` holds every column's exact risk; ties break to the
+    lowest index.
     """
-    risks = column_risks(spec.kind, dist, atom_design(dictionary, spec, dist))
+    risks = _expected_columns(losses, dist)
     j = int(np.argmin(risks))
     return RiskReport(risk_value=risks[j], oracle_kind="MS", minimizer=j, gap_certificate=0.0, arm_risks=tuple(risks))
+
+
+def ms_oracle(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> RiskReport:
+    """``ms_oracle_of_losses`` of the dictionary's loss table over the atoms of ``dist``."""
+    return ms_oracle_of_losses(loss_values(spec.kind, dist.ys[:, None], atom_design(dictionary, spec, dist)), dist)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -426,15 +448,16 @@ def _minimize(design, kind, dist, tol, max_iter):
     )
 
 
-def c_oracle(
-    dictionary: Dictionary,
-    spec: LossSpec,
+def c_oracle_of_design(
+    design: np.ndarray,
+    kind: str,
     dist: FiniteDistribution,
     tol: float = 1e-8,
     max_iter: int = 1_000_000,
 ) -> RiskReport:
-    """Infimum of the exact risk over all dictionary mixtures.
+    """Infimum of the exact risk over all mixtures of the columns of an ``atom_design`` table.
 
+    ``design[a, j]`` is function ``j``'s value at atom ``a`` of ``dist``.
     Minimizes ``theta -> R(f_theta)`` over the simplex with one
     projected-gradient solver for every loss and certifies the result with
     the vertex gap at the exact risk gradient (for the hinge loss, the
@@ -446,14 +469,24 @@ def c_oracle(
     require_positive("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    design = atom_design(dictionary, spec, dist)
-    theta, gap = _minimize(design, spec.kind, dist, tol, max_iter)
+    theta, gap = _minimize(design, kind, dist, tol, max_iter)
     return RiskReport(
-        risk_value=mixture_risks(spec.kind, dist, design, [theta])[0],
+        risk_value=mixture_risks(kind, dist, design, [theta])[0],
         oracle_kind="C",
         minimizer=theta,
         gap_certificate=gap,
     )
+
+
+def c_oracle(
+    dictionary: Dictionary,
+    spec: LossSpec,
+    dist: FiniteDistribution,
+    tol: float = 1e-8,
+    max_iter: int = 1_000_000,
+) -> RiskReport:
+    """``c_oracle_of_design`` of the dictionary's table over the atoms of ``dist``."""
+    return c_oracle_of_design(atom_design(dictionary, spec, dist), spec.kind, dist, tol, max_iter)
 
 
 def optimal_rate(n: int, m: int, kind: str) -> float:

@@ -25,12 +25,13 @@ from mirroragg import (
     ma_init,
     ma_step,
     ms_oracle,
+    ms_oracle_of_losses,
     run_cell,
     run_dictionary_size,
     uniform_weights,
     verify_bound,
 )
-from mirroragg import experiments
+from mirroragg import experiments, oracles
 from mirroragg.aggregation import _reanchor_period, erm_totals, lma_weights, ma_weights
 from mirroragg.cli import rows_to_csv
 from mirroragg.losses import loss_values
@@ -182,9 +183,11 @@ class TestRunCell:
 
     def test_a_selection_only_cell_never_solves_the_convex_oracle(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("c_oracle called on an LMA/ERM-only cell")
+            raise AssertionError("the convex oracle solved on an LMA/ERM-only cell")
 
-        monkeypatch.setattr(experiments, "c_oracle", refuse)
+        # the table form by either name: the pass's, and the one c_oracle calls
+        for module in (experiments, oracles):
+            monkeypatch.setattr(module, "c_oracle_of_design", refuse)
         config = small_config(
             generator=GeneratorSpec(family="margin_classification", grid_size=8),
             loss=LossSpec("phi_hinge"),
@@ -199,24 +202,25 @@ class TestRunCell:
 
     def test_a_gradient_only_cell_never_solves_the_selection_oracle(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("ms_oracle called on an MA-only cell")
+            raise AssertionError("the selection oracle solved on an MA-only cell")
 
-        monkeypatch.setattr(experiments, "ms_oracle", refuse)
+        for module in (experiments, oracles):
+            monkeypatch.setattr(module, "ms_oracle_of_losses", refuse)
         config = small_config(algorithms=("MA",), n_grid=(16,), m_grid=(4,), replications=5)
         rows = run_cell(config, 16, 4)
         assert [(row.algorithm, row.oracle_kind) for row in rows] == [("MA", "C")]
 
     def test_erm_reads_the_selection_oracles_arm_risks(self, monkeypatch):
-        """ERM maps each replicate's pick to the risk ``ms_oracle`` enumerated, with no second per-arm pass."""
+        """ERM maps each replicate's pick to the risk the selection oracle enumerated, with no second per-arm pass."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("an ERM-only cell evaluated exact risks itself")
 
         def marked_arm_risks(*args):
-            return replace(ms_oracle(*args), arm_risks=(7.0,) * 4)
+            return replace(ms_oracle_of_losses(*args), arm_risks=(7.0,) * 4)
 
         monkeypatch.setattr(experiments, "mixture_risks", refuse)
-        monkeypatch.setattr(experiments, "ms_oracle", marked_arm_risks)
+        monkeypatch.setattr(experiments, "ms_oracle_of_losses", marked_arm_risks)
         config = small_config(algorithms=("ERM",), n_grid=(16,), m_grid=(4,), replications=5)
         [row] = run_cell(config, 16, 4)
         assert row.mean_excess == 7.0 - row.oracle_value
@@ -261,6 +265,30 @@ class TestRunCell:
             monkeypatch.setattr(experiments, kernel.__name__, released(kernel))
         rows = run_cell(small_config(n_grid=(16,), m_grid=(4,), replications=5), 16, 4)
         assert [row.algorithm for row in rows] == ["LMA", "MA", "ERM"]
+
+    def test_a_pass_tabulates_each_atom_once_and_its_loss_table_once(self, monkeypatch):
+        """Both oracles and all three kernels read the one table and the one loss table of the pass."""
+        config = small_config(n_grid=(8, 16), m_grid=(4,), replications=5)
+        dist, _ = generate_instance(config.generator, 4, config.master_seed)
+        evaluated, tabulated = [], []
+        values_at = TabularDictionary.values_at
+
+        def counting_values_at(self, x):
+            evaluated.append(x)
+            return values_at(self, x)
+
+        def recording_loss_values(kind, y, f):
+            tabulated.append(np.shape(f))
+            return loss_values(kind, y, f)
+
+        monkeypatch.setattr(TabularDictionary, "values_at", counting_values_at)
+        for module in (experiments, oracles):
+            monkeypatch.setattr(module, "loss_values", recording_loss_values)
+        rows = run_dictionary_size(config, 4)
+        assert [row.algorithm for row in rows] == ["LMA", "MA", "ERM"] * 2
+        assert sorted(evaluated) == sorted(z.x for z, _ in dist.atoms)
+        # the mixture risks take (K, 5) blocks of the 5 replicates and the solver (K,) mixtures
+        assert tabulated.count((len(dist.atoms), 4)) == 1
 
 
 @pytest.fixture
@@ -530,7 +558,7 @@ class TestDefaults:
             small_config(loss=LossSpec("phi_hinge"), algorithms=("MA",), lma_betas=(1.0,))
         with pytest.raises(ValueError, match="explicitly"):
             small_config(loss=LossSpec("phi_hinge"), algorithms=("LMA",))
-        with pytest.raises(ValueError, match="ma_schedule"):
+        with pytest.raises(ValueError, match="^ma_schedule must be 'sqrt_growth' or 'constant', got 'linear'$"):
             small_config(ma_schedule="linear")
         with pytest.raises(ValueError, match="replications"):
             small_config(replications=0)

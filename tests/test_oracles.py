@@ -13,12 +13,14 @@ from mirroragg import (
     LossSpec,
     TabularDictionary,
     c_oracle,
+    c_oracle_of_design,
     erm_select,
     exact_risk,
     excess_risk,
     loss_gradient_theta,
     loss_value,
     ms_oracle,
+    ms_oracle_of_losses,
     optimal_rate,
     uniform_weights,
 )
@@ -650,3 +652,45 @@ class TestSolverMixtures:
         else:
             g = design.T @ (ps * grad_coef(kind, ys, mix))
         assert gap == float(theta @ g - g.min())
+
+
+# the eight family x loss configs of the byte-identity checks: grid 24, seed 7,
+# noise 0.5 on the regression families and tie_gap 0.02 on near_tie
+TABLE_CONFIGS = [
+    (GeneratorSpec("bounded_regression", grid_size=24, noise_level=0.5), "squared"),
+    (GeneratorSpec("near_tie", grid_size=24, noise_level=0.5, tie_gap=0.02), "squared"),
+] + [
+    (GeneratorSpec(family, grid_size=24), kind)
+    for family in ("phi_classification", "margin_classification")
+    for kind in ("phi_exponential", "phi_hinge", "phi_logit2")
+]
+
+
+class TestTableForms:
+    @pytest.mark.parametrize(
+        "genspec, kind", TABLE_CONFIGS, ids=[f"{genspec.family}-{kind}" for genspec, kind in TABLE_CONFIGS]
+    )
+    def test_each_table_form_is_its_oracle_bit_for_bit(self, genspec, kind):
+        """On one instance's tables the forms return the dictionary oracles' reports, and each arm risk is ``math.fsum``'s."""
+        spec = LossSpec(kind)
+        for m in (3, 12, 40):
+            dist, dictionary = generate_instance(genspec, m, 7)
+            design = oracles.atom_design(dictionary, spec, dist)
+            losses = loss_values(kind, dist.ys[:, None], design)
+
+            selection, reference = ms_oracle_of_losses(losses, dist), ms_oracle(dictionary, spec, dist)
+            assert selection == reference
+            assert list(selection.arm_risks) == [math.fsum((dist.ps * column).tolist()) for column in losses.T]
+
+            convex, reference = c_oracle_of_design(design, kind, dist), c_oracle(dictionary, spec, dist)
+            assert (convex.risk_value, convex.gap_certificate) == (reference.risk_value, reference.gap_certificate)
+            assert np.array_equal(convex.minimizer, reference.minimizer)
+            assert convex.risk_value <= selection.risk_value + 1e-8
+
+    def test_the_convex_form_validates_its_tolerance_and_iterations(self):
+        dist = FiniteDistribution([atom(0, 1.0, 1.0)])
+        design = np.array([[0.0, 0.5]])
+        with pytest.raises(ValueError, match="tol must be positive"):
+            c_oracle_of_design(design, "squared", dist, tol=0.0)
+        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+            c_oracle_of_design(design, "squared", dist, max_iter=0)

@@ -107,19 +107,59 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
-    """``perfbench/run.py --trace 1`` fails on any wrapped name that is renamed away."""
+def tracer_wraps(monkeypatch) -> list:
+    """``(owner, attribute)`` of every name ``perfbench/child.py::install`` wraps."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     child = importlib.import_module("child")
 
     class Lookup:
         def __init__(self):
-            self.found, self.missing = [], []
+            self.wrapped = []
 
         def wrap(self, owner, attr, name, **options):
-            (self.found if hasattr(owner, attr) else self.missing).append(f"{owner.__name__}.{attr}")
+            self.wrapped.append((owner, attr))
 
     lookup = Lookup()
     child.install(mirroragg, lookup)
-    assert lookup.missing == []
-    assert len(lookup.found) == 22
+    return lookup.wrapped
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
+    """``perfbench/run.py --trace 1`` fails on any wrapped name that is renamed away."""
+    wrapped = tracer_wraps(monkeypatch)
+    assert [f"{owner.__name__}.{attr}" for owner, attr in wrapped if not hasattr(owner, attr)] == []
+    assert len(wrapped) == 22
+
+
+def unused_imports(path: Path) -> set:
+    """Names that a module's imports bind and that none of its code reads or exports."""
+    tree = ast.parse(path.read_text())
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        entry.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["__all__"]
+        for entry in node.value.elts
+        if isinstance(entry, ast.Constant)
+    }
+    return bound - read - exported
+
+
+def test_every_unused_import_is_a_name_the_tracer_wraps_on_its_module(monkeypatch):
+    """An import that no code reads stays only for the tracer; the list is what goes once the tracer stops wrapping."""
+    unused = {f"mirroragg.{path.stem}.{name}" for path in SOURCE.glob("*.py") for name in unused_imports(path)}
+    wrapped = {f"{owner.__name__}.{attr}" for owner, attr in tracer_wraps(monkeypatch) if inspect.ismodule(owner)}
+    assert unused <= wrapped
+    assert unused == {
+        "mirroragg.aggregation.linearized_loss_vector",
+        "mirroragg.cli.run_cell",
+        "mirroragg.experiments.c_oracle",
+        "mirroragg.experiments.ms_oracle",
+    }
