@@ -10,7 +10,10 @@ first ``n`` draws, against its own oracle only (the selector's is the
 selection oracle).  ``run_cell`` is the same pass at one sample size.
 The pass tabulates the instance once: the table-level oracles
 (``ms_oracle_of_losses``, ``c_oracle_of_design``) and the three kernels
-read one ``atom_design`` and one loss table.  The aggregation rows also carry the theoretical bound value:
+read one ``atom_design`` and one loss table.  A row's mean excess is the
+exact mean of its replicates' excesses, rounded once, and its standard
+error comes from the deviations about that mean.  The aggregation rows
+also carry the theoretical bound value:
 
 * linearized algorithm, selection oracle: ``beta * log(M) / (n + 1)``;
 * gradient algorithm, convex oracle: ``2 * sqrt(Qstar * log(M) / n)``.
@@ -315,6 +318,33 @@ class BoundCheck:
     failures: tuple
 
 
+def _excess_statistics(achieved: np.ndarray, oracle_value: float) -> tuple:
+    """``(mean, standard error)`` of the excesses ``a_r - oracle_value`` of one cell's replicate risks ``a_r``.
+
+    The mean is the exact mean, rounded once.  ``math.fsum`` of the terms
+    ``a_r`` and ``-oracle_value`` is their exact sum rounded once, and so
+    is ``math.fsum`` of what that rounding left, until nothing is left; the
+    parts, as integers over one power of two, divide by ``R`` in one
+    rounding.  So replicates that share one value ``a`` report ``a -
+    oracle_value`` exactly (an ERM cell whose every replicate picks the
+    oracle's arm reports 0); one ``fsum`` and then a division rounds twice
+    and misses that value for about one ``a`` in eight.  The standard error
+    comes from the deviations about that mean, so equal replicates give 0.
+    """
+    reps = len(achieved)
+    terms = achieved.tolist() + [-oracle_value] * reps
+    parts = []
+    while remainder := math.fsum(terms):
+        parts.append(remainder.as_integer_ratio())
+        terms.append(-remainder)
+    unit = max((den for _, den in parts), default=1)
+    mean_excess = sum(num * (unit // den) for num, den in parts) / (unit * reps)
+    if reps == 1:
+        return mean_excess, 0.0
+    deviations = (achieved - oracle_value) - mean_excess
+    return mean_excess, math.sqrt(float(np.square(deviations).sum()) / (reps - 1)) / math.sqrt(reps)
+
+
 def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     """Run every configured algorithm on every cell of one dictionary size.
 
@@ -350,11 +380,8 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     rows_at: dict = {n: [] for n in checkpoints}
 
     def emit(n, label, achieved, okind, bound):
-        achieved = np.asarray(achieved, dtype=float)
-        mean_risk = float(achieved.mean())
-        stderr = float(achieved.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         oracle_value = oracles[okind].risk_value
-        mean_excess = mean_risk - oracle_value
+        mean_excess, stderr = _excess_statistics(np.asarray(achieved, dtype=float), oracle_value)
         rows_at[n].append(
             ResultRow(
                 n=n,

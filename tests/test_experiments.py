@@ -1,6 +1,7 @@
 import math
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from mirroragg import (
 from mirroragg import experiments, oracles
 from mirroragg.aggregation import _reanchor_period, erm_totals, lma_weights, ma_weights
 from mirroragg.cli import rows_to_csv
+from mirroragg.experiments import _excess_statistics
 from mirroragg.losses import loss_values
 from mirroragg.oracles import atom_design
 
@@ -319,6 +321,46 @@ def lma_beta_with_period(period, m=5):
     beta = (period + 0.5) * spread / 600.0
     assert _reanchor_period(spread, beta) == period
     return beta
+
+
+class TestCellStatistics:
+    @pytest.mark.parametrize("reps", [20, 100, 400])
+    def test_equal_replicates_report_their_excess_plus_minus_zero(self, reps):
+        """numpy's mean of these equal floats is one ulp off at each R; a cell's mean excess must not be."""
+        rng = np.random.default_rng(reps)
+        shared = [0.54999999999999993, *rng.uniform(0.0, 2.0, 200), *rng.uniform(0.0, 1e-3, 200)]
+        for value in shared:
+            for oracle_value in (value, 0.5, 0.0):
+                achieved = np.full(reps, value)
+                assert _excess_statistics(achieved, oracle_value) == (value - oracle_value, 0.0)
+
+    @pytest.mark.parametrize("reps", [1, 2, 20, 100, 400])
+    def test_the_mean_excess_is_the_exact_mean_rounded_once(self, reps):
+        rng = np.random.default_rng(1000 + reps)
+        for scale in (1.0, 1e-6, 1e6):
+            oracle_value = float(rng.uniform(0.0, scale))
+            achieved = oracle_value + rng.exponential(scale * 1e-3, reps) * rng.choice([-1.0, 1.0], reps)
+            exact = (sum(map(Fraction, achieved.tolist())) - reps * Fraction(oracle_value)) / reps
+            mean_excess, stderr = _excess_statistics(achieved, oracle_value)
+            assert mean_excess == float(exact)
+            expected = achieved.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
+            assert stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_an_erm_cell_whose_every_replicate_picks_the_oracle_arm_reads_zero(self):
+        """Hinge margin instance: from n = 128 every ERM replicate picks the selection oracle's arm."""
+        config = ExperimentConfig(
+            generator=GeneratorSpec("margin_classification", grid_size=64, margin_exponent=2.0),
+            n_grid=(32, 128, 512, 2048, 8192),
+            m_grid=(8,),
+            replications=400,
+            algorithms=("LMA", "ERM"),
+            loss=LossSpec("phi_hinge"),
+            master_seed=7,
+            lma_betas=(2.0,),
+        )
+        erm = {row.n: row for row in run_dictionary_size(config, 8) if row.algorithm == "ERM"}
+        assert erm[32].mean_excess > 0.0
+        assert [(erm[n].mean_excess, erm[n].stderr) for n in (128, 512, 2048, 8192)] == [(0.0, 0.0)] * 4
 
 
 class TestDictionarySizePass:
