@@ -51,17 +51,10 @@ from .losses import (
     loss_values,
     minimal_nice_beta,
 )
+from .oracles import FiniteDistribution, atom_design, c_oracle_of_design, mixture_risks, ms_oracle_of_losses
 # ms_oracle and c_oracle are unused here but stay names of this module:
 # perfbench's tracer wraps experiments.ms_oracle and experiments.c_oracle
-from .oracles import (  # noqa: F401
-    FiniteDistribution,
-    atom_design,
-    c_oracle,
-    c_oracle_of_design,
-    mixture_risks,
-    ms_oracle,
-    ms_oracle_of_losses,
-)
+from .oracles import c_oracle, ms_oracle  # noqa: F401
 from .simplex import TabularDictionary, require_positive
 
 __all__ = [
@@ -321,15 +314,12 @@ class BoundCheck:
 def _excess_statistics(achieved: np.ndarray, oracle_value: float) -> tuple:
     """``(mean, standard error)`` of the excesses ``a_r - oracle_value`` of one cell's replicate risks ``a_r``.
 
-    The mean is the exact mean, rounded once.  ``math.fsum`` of the terms
-    ``a_r`` and ``-oracle_value`` is their exact sum rounded once, and so
-    is ``math.fsum`` of what that rounding left, until nothing is left; the
-    parts, as integers over one power of two, divide by ``R`` in one
-    rounding.  So replicates that share one value ``a`` report ``a -
-    oracle_value`` exactly (an ERM cell whose every replicate picks the
-    oracle's arm reports 0); one ``fsum`` and then a division rounds twice
-    and misses that value for about one ``a`` in eight.  The standard error
-    comes from the deviations about that mean, so equal replicates give 0.
+    The mean is exact, rounded once: ``math.fsum`` parts take the exact sum,
+    which as one integer ratio divides by ``R`` in one rounding (an ``fsum``
+    and then a division round twice, and miss the mean of ``R`` equal
+    values for about one value in eight).  The standard error comes from
+    the deviations about that mean, so replicates that share one risk
+    ``a`` report ``a - oracle_value`` ± 0.
     """
     reps = len(achieved)
     terms = achieved.tolist() + [-oracle_value] * reps

@@ -281,11 +281,9 @@ def _exact_column_sums(products: np.ndarray) -> list:
 
 
 def _expected_columns(table: np.ndarray, dist: FiniteDistribution) -> list:
-    """``sum_a p_a * table[a, c]`` of each column of a ``(K atoms, C columns)`` array, exact and rounded once.
+    """``math.fsum`` of ``p_a * table[a, c]`` over the atoms ``a``, for each column ``c``, bit for bit.
 
-    Bit for bit ``math.fsum`` of each column's products.  Columns are
-    reduced in blocks of at most ``_BLOCK_ENTRIES`` entries, so memory past
-    ``table`` stays bounded however many columns there are.
+    Blocks of at most ``_BLOCK_ENTRIES`` entries bound the memory past ``table``.
     """
     ps = dist.ps[:, None]
     width = _block_width(len(ps))
@@ -449,11 +447,7 @@ def _minimize(design, kind, dist, tol, max_iter):
 
 
 def c_oracle_of_design(
-    design: np.ndarray,
-    kind: str,
-    dist: FiniteDistribution,
-    tol: float = 1e-8,
-    max_iter: int = 1_000_000,
+    design: np.ndarray, kind: str, dist: FiniteDistribution, tol: float = 1e-8, max_iter: int = 1_000_000
 ) -> RiskReport:
     """Infimum of the exact risk over all mixtures of the columns of an ``atom_design`` table.
 
@@ -479,11 +473,7 @@ def c_oracle_of_design(
 
 
 def c_oracle(
-    dictionary: Dictionary,
-    spec: LossSpec,
-    dist: FiniteDistribution,
-    tol: float = 1e-8,
-    max_iter: int = 1_000_000,
+    dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution, tol: float = 1e-8, max_iter: int = 1_000_000
 ) -> RiskReport:
     """``c_oracle_of_design`` of the dictionary's table over the atoms of ``dist``."""
     return c_oracle_of_design(atom_design(dictionary, spec, dist), spec.kind, dist, tol, max_iter)

@@ -654,8 +654,8 @@ class TestSolverMixtures:
         assert gap == float(theta @ g - g.min())
 
 
-# the eight family x loss configs of the byte-identity checks: grid 24, seed 7,
-# noise 0.5 on the regression families and tie_gap 0.02 on near_tie
+# the eight family x loss configs of BENCH_17.json's byte-identity checks: grid
+# 24, seed 7, noise 0.5 on the regression families and tie_gap 0.02 on near_tie
 TABLE_CONFIGS = [
     (GeneratorSpec("bounded_regression", grid_size=24, noise_level=0.5), "squared"),
     (GeneratorSpec("near_tie", grid_size=24, noise_level=0.5, tie_gap=0.02), "squared"),
@@ -687,10 +687,18 @@ class TestTableForms:
             assert np.array_equal(convex.minimizer, reference.minimizer)
             assert convex.risk_value <= selection.risk_value + 1e-8
 
-    def test_the_convex_form_validates_its_tolerance_and_iterations(self):
+    @pytest.mark.parametrize("form", ["dictionary", "table"])
+    def test_both_convex_forms_validate_their_tolerance_and_iterations(self, form):
         dist = FiniteDistribution([atom(0, 1.0, 1.0)])
-        design = np.array([[0.0, 0.5]])
-        with pytest.raises(ValueError, match="tol must be positive"):
-            c_oracle_of_design(design, "squared", dist, tol=0.0)
-        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
-            c_oracle_of_design(design, "squared", dist, max_iter=0)
+        dictionary = TabularDictionary(np.array([[0.0], [0.5]]))
+
+        def solve(**limits):
+            if form == "dictionary":
+                return c_oracle(dictionary, LossSpec("squared"), dist, **limits)
+            return c_oracle_of_design(dictionary.values.T, "squared", dist, **limits)
+
+        with pytest.raises(ValueError, match="^tol must be positive and finite, got 0.0$"):
+            solve(tol=0.0)
+        with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+            solve(max_iter=0)
+        assert solve().risk_value == 0.25
