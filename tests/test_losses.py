@@ -20,6 +20,7 @@ from mirroragg import (
     phi_derivatives,
     uniform_weights,
 )
+from mirroragg.losses import check_margin_range, loss_values
 
 
 def random_instance(rng, kind, m=4):
@@ -60,6 +61,14 @@ class TestLossValues:
         with pytest.warns(UserWarning):
             loss_value(LossSpec("phi_exponential"), LabeledSample(0, 1.0), 1.5)
 
+    def test_warning_reports_the_largest_magnitude_when_it_is_negative(self):
+        dic = TabularDictionary(np.array([[0.5, 0.25], [-1.5, 0.0], [1.2, -0.75]]), range_bound=2.0)
+        with pytest.warns(UserWarning, match=r"\|f\|=1\.5 > 1") as record:
+            linearized_loss_vector(LossSpec("phi_logit2"), dic, LabeledSample(0, 1.0))
+        assert [w.filename for w in record] == [__file__]
+        with pytest.warns(UserWarning, match=r"\|f\|=1\.5 > 1"):
+            check_margin_range("phi_hinge", dic.values.T)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             LossSpec("absolute")
@@ -67,6 +76,36 @@ class TestLossValues:
     def test_bad_label_bound_rejected(self):
         with pytest.raises(ValueError):
             LossSpec("squared", y_bound=0.0)
+
+
+LOSS_VALUES_SHAPES = {
+    "0-d": ((), ()),
+    "1-d": ((5,), (5,)),
+    "broadcast": ((4, 1), (4, 6)),
+}
+
+
+class TestLossValuesArrays:
+    @pytest.mark.parametrize("shape", sorted(LOSS_VALUES_SHAPES))
+    @pytest.mark.parametrize("kind", sorted(LOSS_KINDS))
+    def test_inputs_untouched_and_result_fresh(self, kind, shape):
+        y_shape, f_shape = LOSS_VALUES_SHAPES[shape]
+        rng = np.random.default_rng(5)
+        y = np.asarray(rng.choice([-1.0, 1.0], y_shape))
+        f = np.asarray(rng.uniform(-1.0, 1.0, f_shape))
+        y_before, f_before = y.copy(), f.copy()
+        got = loss_values(kind, y, f)
+        assert np.array_equal(y, y_before) and np.array_equal(f, f_before)
+        assert np.shape(got) == np.broadcast_shapes(y_shape, f_shape)
+        if shape == "0-d":
+            assert type(got) is np.float64
+        else:
+            assert got.flags.owndata and got.flags.writeable
+            assert not np.shares_memory(got, y) and not np.shares_memory(got, f)
+
+    @pytest.mark.parametrize("kind", sorted(LOSS_KINDS))
+    def test_loss_value_returns_a_float(self, kind):
+        assert type(loss_value(LossSpec(kind), LabeledSample(0, -1.0), 0.25)) is float
 
 
 class TestGradient:
