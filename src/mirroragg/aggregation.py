@@ -241,6 +241,19 @@ def _arm_layout(reps: int, table: np.ndarray):
     return "C", lambda a: table.take(a, axis=0)
 
 
+def _aligned_state(count: int, reps: int, m: int, order: str) -> list:
+    """``count`` zeroed ``(reps, m)`` arrays of memory order ``order``, each starting on a 64-byte boundary.
+
+    They are carved from one allocation: numpy aligns its own to 16 bytes
+    only, and MA's step measured about 6% slower with its state 16, 32 or
+    48 bytes off a 64-byte line.
+    """
+    stride = -(-reps * m // 8) * 8  # whole 64-byte lines of float64
+    raw = np.zeros(count * stride + 7)
+    first = -raw.ctypes.data % 64 // 8
+    return [raw[first + k * stride :][: reps * m].reshape((reps, m), order=order) for k in range(count)]
+
+
 def ma_weights(idx, design, ys, kind: str, betas, checkpoints) -> list:
     """Averaged weights of the gradient algorithm at each checkpoint, one row per replicate.
 
@@ -252,10 +265,8 @@ def ma_weights(idx, design, ys, kind: str, betas, checkpoints) -> list:
     reps = idx.shape[0]
     m = design.shape[1]
     order, gather = _arm_layout(reps, design)
-    scores = np.zeros((reps, m), order=order)
-    mirrored = np.full((reps, m), 1.0 / m, order=order)
-    total = np.zeros((reps, m), order=order)
-    work = np.empty((reps, m), order=order)
+    scores, mirrored, total, work = _aligned_state(4, reps, m, order)
+    mirrored.fill(1.0 / m)
     averaged = []
     start = 0
     for stop in checkpoints:

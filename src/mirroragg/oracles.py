@@ -52,6 +52,10 @@ PROB_ATOL = 1e-12
 # a time, so their buffers and temporaries stay a few hundred kilobytes.
 _BLOCK_ENTRIES = 1 << 15
 
+# Weight vectors per mixture product: every mixture risk is a column of one
+# ``design @ block.T`` of this many vectors (see ``mixture_risks``).
+_MIXTURE_WIDTH = 32
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -306,21 +310,34 @@ def column_risks(kind: str, dist: FiniteDistribution, values: np.ndarray) -> lis
 def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, thetas) -> list:
     """Exact risk of the mixture ``design @ theta`` for each weight vector ``theta`` of ``thetas``.
 
-    Each mixture is its own matrix-vector product: one ``design @ thetas.T``
-    sums in another order and moves the last digits.  A block of weight
-    vectors is one stacked ``matmul`` of ``(M, 1)`` columns, which makes the
-    same matrix-vector call per vector as ``design @ theta``.  The products
-    pass through one buffer of at most a block of columns, and of one
-    column per weight vector when there are fewer, so memory stays bounded
-    however many weight vectors there are and a single one costs no block.
+    Every mixture is a column of one product shape, ``design @ block.T``
+    with ``block`` exactly ``_MIXTURE_WIDTH`` weight vectors.  At a fixed
+    width a column's bits depend neither on its position and neighbours nor
+    on the BLAS thread count; a width that followed the call would make a
+    lone vector a matrix-vector product, which sums in another order.  So a
+    vector's risk is a function of ``(design, theta)`` alone, whichever call
+    prices it.  Full blocks are views of ``thetas``; past them the last
+    block is the last ``_MIXTURE_WIDTH`` vectors, overlapping the one
+    before, and fewer vectors than that are zero-padded.  The products pass
+    through one buffer of at most ``max(_BLOCK_ENTRIES, K * _MIXTURE_WIDTH)``
+    entries for ``K`` atoms, reduced one ``_block_width`` span at a time.
     """
-    width = _block_width(len(design))
-    buffer = np.empty((min(width, len(thetas)), len(design)))
-    risks = []
-    for start in range(0, len(thetas), width):
-        chunk = np.asarray(thetas[start : start + width])
-        np.matmul(design, chunk[:, :, None], out=buffer[: len(chunk), :, None])
-        risks += column_risks(kind, dist, buffer[: len(chunk)].T)
+    width = _MIXTURE_WIDTH
+    count = len(thetas)
+    thetas = np.ascontiguousarray(thetas, dtype=float).reshape(count, design.shape[1])
+    if count < width:
+        thetas = np.concatenate([np.zeros((width - count, design.shape[1])), thetas])
+    starts = [*range(0, len(thetas) - width, width), len(thetas) - width]
+    per_span = max(1, _block_width(len(design)) // width)
+    buffer = np.empty((len(design), width * min(per_span, len(starts))))
+    risks, done = [], len(thetas) - count  # the padding is never priced
+    for first in range(0, len(starts), per_span):
+        base = starts[first]
+        for start in starts[first : first + per_span]:
+            # an overlapping last block rewrites the columns it shares with the same bits
+            np.matmul(design, thetas[start : start + width].T, out=buffer[:, start - base : start - base + width])
+        risks += column_risks(kind, dist, buffer[:, done - base : start + width - base])
+        done = start + width
     return risks
 
 
@@ -328,9 +345,13 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
     """Exact population risk of a vertex or mixture under ``dist``.
 
     An integer selects the single function ``f_j``, whose values are
-    ``column_risks``' one column; a weight vector selects the mixture, whose
-    risk is ``mixture_risks``' as for ``c_oracle``.  Either way the result
-    is the exact sum over atoms rounded once.
+    ``column_risks``' one column.  A weight vector selects the mixture,
+    priced as ``mixture_risks`` prices every mixture: a column of
+    ``design @ block.T`` with the vector in a zero-padded block of
+    ``_MIXTURE_WIDTH`` rows.  So its risk is bit for bit the one a grid
+    checkpoint reports for the same vector, and ``c_oracle``'s value is
+    ``exact_risk`` of its minimizer.  Either way the result is the exact
+    sum over atoms rounded once.
     """
     if not isinstance(theta_or_index, (int, np.integer)):
         design = atom_design(dictionary, spec, dist)

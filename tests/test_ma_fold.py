@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from mirroragg import Schedule
+from mirroragg import Schedule, aggregation
 from mirroragg.aggregation import _arm_layout, erm_totals, lma_weights, ma_weights
 
 LD = np.longdouble
@@ -83,6 +83,26 @@ CASES = [
     ("phi_logit2", 32, 32, 50, 1, 8),
     ("phi_logit2", 11, 5, 1500, 4, 9),
 ]
+
+
+@pytest.mark.parametrize("reps, m", [(256, 32), (1000, 2), (3, 5), (1, 7), (1, 1)])
+def test_ma_state_starts_on_64_byte_boundaries_in_the_kernels_layout(monkeypatch, reps, m):
+    carved, carve = [], aggregation._aligned_state
+
+    def spy(*args):
+        carved.extend(carve(*args))
+        return carved[-4:]
+
+    monkeypatch.setattr(aggregation, "_aligned_state", spy)
+    rng = np.random.default_rng(reps * m)
+    design, ys = random_table(rng, "squared", 4, m)
+    ma_weights(rng.integers(0, 4, (reps, 3)), design, ys, "squared", np.ones(3), (3,))
+    order = _arm_layout(reps, design)[0]
+    assert len(carved) == 4
+    for state in carved:
+        assert state.shape == (reps, m) and state.flags[f"{order}_CONTIGUOUS"]
+        assert state.ctypes.data % 64 == 0
+    assert len({state.base.ctypes.data for state in carved}) == 1
 
 
 @pytest.mark.parametrize("kind, atoms, m, n, reps, seed", CASES)

@@ -43,6 +43,13 @@ def random_regression_instance(rng, m, atoms=4):
     return TabularDictionary(values), dist
 
 
+def block_product(design, theta):
+    """``design @ theta`` as ``mixture_risks`` forms it: a column of a fresh product with a zero-padded ``_MIXTURE_WIDTH``-row block."""
+    block = np.zeros((oracles._MIXTURE_WIDTH, design.shape[1]))
+    block[0] = theta
+    return (design @ block.T)[:, 0]
+
+
 class TestDistribution:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -580,13 +587,13 @@ class TestColumnRisks:
         design = oracles.atom_design(dictionary, LossSpec(kind), dist)
         assert column_risks(kind, dist, design) == fsum_columns(kind, dist, design)
         thetas = np.random.default_rng(3).dirichlet(np.ones(100), 130)
-        mixtures = np.stack([design @ theta for theta in thetas], axis=1)
+        mixtures = np.stack([block_product(design, theta) for theta in thetas], axis=1)
         assert oracles.mixture_risks(kind, dist, design, thetas) == fsum_columns(kind, dist, mixtures)
 
     @pytest.mark.parametrize("kind", ["squared", "phi_logit2"])
     @pytest.mark.parametrize("m", [2, 33])
     def test_mixture_risks_equal_one_product_per_weight_vector(self, kind, m):
-        """Several blocks of weight vectors: each risk is ``column_risks`` of its own ``design @ theta``."""
+        """Several spans of weight vectors: each risk is ``column_risks`` of its own zero-padded block product."""
         if kind == "squared":
             genspec = GeneratorSpec("bounded_regression", grid_size=256, noise_level=0.25)
         else:
@@ -595,19 +602,45 @@ class TestColumnRisks:
         design = oracles.atom_design(dictionary, LossSpec(kind), dist)
         width = oracles._block_width(len(design))
         thetas = np.random.default_rng(m).dirichlet(np.ones(m), 2 * width + 5)
-        want = [column_risks(kind, dist, (design @ theta)[:, None])[0] for theta in thetas]
+        want = [column_risks(kind, dist, block_product(design, theta)[:, None])[0] for theta in thetas]
         assert oracles.mixture_risks(kind, dist, design, thetas) == want
 
     @pytest.mark.parametrize("atoms, m", [(1, 1), (1, 7), (9, 1), (5, 3), (40, 17)])
     def test_one_weight_vector_is_one_product(self, atoms, m):
-        """One weight vector, down to one atom or one arm: ``mixture_risks`` and ``exact_risk`` price its own ``design @ theta``."""
+        """One weight vector, down to one atom or one arm: ``mixture_risks`` and ``exact_risk`` price its zero-padded block product."""
         rng = np.random.default_rng(atoms * 100 + m)
         dictionary, dist = random_regression_instance(rng, m, atoms)
         design = oracles.atom_design(dictionary, LossSpec("squared"), dist)
         for theta in rng.dirichlet(np.ones(m), 30):
-            want = column_risks("squared", dist, (design @ theta)[:, None])
+            want = column_risks("squared", dist, block_product(design, theta)[:, None])
             assert oracles.mixture_risks("squared", dist, design, [theta]) == want
             assert exact_risk(theta, dictionary, LossSpec("squared"), dist) == want[0]
+
+    # _block_width(K) is 16, 32, 64 and 327 here: a span below, at and above
+    # one product's width
+    @pytest.mark.parametrize("atoms", [2048, 1024, 512, 100])
+    def test_a_vectors_risk_does_not_depend_on_its_call(self, atoms):
+        """Calls of 1, W - 1, W, W + 1 and 2 spans + 5 vectors, in two orders: each vector's risk is the one it has alone."""
+        width = oracles._MIXTURE_WIDTH
+        m = 7
+        rng = np.random.default_rng(atoms)
+        dictionary, dist = random_regression_instance(rng, m, atoms)
+        design = oracles.atom_design(dictionary, LossSpec("squared"), dist)
+        for count in (1, width - 1, width, width + 1, 2 * oracles._block_width(atoms) + 5):
+            thetas = rng.dirichlet(np.ones(m), count)
+            alone = [oracles.mixture_risks("squared", dist, design, [theta])[0] for theta in thetas]
+            assert oracles.mixture_risks("squared", dist, design, thetas) == alone
+            # every vector at another position, among other neighbours
+            order = rng.permutation(count)
+            assert oracles.mixture_risks("squared", dist, design, thetas[order]) == [alone[i] for i in order]
+        assert exact_risk(thetas[0], dictionary, LossSpec("squared"), dist) == alone[0]
+
+    @pytest.mark.parametrize("kind", ["squared", "phi_logit2", "phi_hinge"])
+    def test_the_convex_oracles_value_is_the_exact_risk_of_its_minimizer(self, kind):
+        genspec = GeneratorSpec("bounded_regression" if kind == "squared" else "phi_classification", grid_size=32)
+        dist, dictionary = generate_instance(genspec, 9, 4)
+        report = c_oracle(dictionary, LossSpec(kind), dist)
+        assert report.risk_value == exact_risk(report.minimizer, dictionary, LossSpec(kind), dist)
 
 
 class CountingDesign:
