@@ -82,7 +82,6 @@ _TABLE = {
     "generator.family": _Key("family"),
     "generator.grid_size": _Key("grid_size", int),
     "generator.noise_level": _Key("noise_level", float, ("generator.family", "bounded_regression", "near_tie")),
-    "generator.margin_exponent": _Key("margin_exponent", float, ("generator.family", "margin_classification")),
     "generator.tie_gap": _Key("tie_gap", float, ("generator.family", "near_tie")),
     "experiment.n_grid": _Key("n_grid", _words(int)),
     "experiment.m_grid": _Key("m_grid", _words(int)),

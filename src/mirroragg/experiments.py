@@ -71,9 +71,14 @@ __all__ = [
     "verify_bound",
 ]
 
-FAMILIES = ("bounded_regression", "phi_classification", "margin_classification", "near_tie")
-
-_FAMILY_CODES = {family: code for code, family in enumerate(FAMILIES, start=1)}
+# Purpose words of the streams, literals so that a new family re-keys none:
+# a family's instance is ``[seed, code, M]`` and replicate ``r`` is
+# ``[seed, _REPLICATE_TAG, M, r]``.  numpy's SeedSequence ignores trailing
+# zero words, so replicate 0's stream is ``[seed, 5, M]``; 5 is no family
+# code, nor one of the tags 6 and 7 of the ``conditions`` streams.
+_FAMILY_CODES = {"bounded_regression": 1, "phi_classification": 2, "margin_classification": 3, "near_tie": 4}
+_REPLICATE_TAG = 5
+FAMILIES = tuple(_FAMILY_CODES)
 
 # families whose labels are real numbers, not the {-1, +1} of a margin loss
 _REGRESSION_FAMILIES = ("bounded_regression", "near_tie")
@@ -82,12 +87,6 @@ _REGRESSION_FAMILIES = ("bounded_regression", "near_tie")
 # over this interval so the dictionary's risk gaps straddle the crossover
 # scales of the benchmark n grid.
 _PERTURBATION_AMPLITUDES = (0.35, 0.7)
-
-# Purpose word of the replicate streams ``[seed, tag, M, r]``.  numpy's
-# SeedSequence ignores trailing zero words, so replicate 0's stream is
-# ``[seed, tag, M]``; a tag that is no family code keeps it apart from every
-# instance stream ``[seed, code, M]``.
-_REPLICATE_TAG = len(FAMILIES) + 1
 
 # the oracle each algorithm's rows are measured against
 _ORACLE_OF = {"MA": "C", "LMA": "MS", "ERM": "MS"}
@@ -100,17 +99,13 @@ _MA_SCHEDULES = {"sqrt_growth": Schedule.sqrt_growth, "constant": Schedule.const
 class GeneratorSpec:
     """Recipe for a family of benchmark instances.
 
-    ``noise_level`` is the response noise half-width (regression and
-    near-tie families), ``margin_exponent`` the margin parameter of the
-    classification family (must be at least 1; 1 means the regression
-    function stays bounded away from 1/2), and ``tie_gap`` the risk
-    spacing of the near-tie ladder.
+    ``noise_level`` is the response noise half-width (regression and near-tie
+    families), ``tie_gap`` the risk spacing of the near-tie ladder.
     """
 
     family: str
     grid_size: int = 16
     noise_level: float = 0.0
-    margin_exponent: float = 1.0
     tie_gap: float = 0.01
 
     def __post_init__(self):
@@ -120,10 +115,6 @@ class GeneratorSpec:
             raise ValueError(f"grid_size must be at least 1, got {self.grid_size}")
         if not math.isfinite(self.noise_level) or self.noise_level < 0.0:
             raise ValueError(f"noise_level must be a nonnegative finite number, got {self.noise_level!r}")
-        if not math.isfinite(self.margin_exponent) or self.margin_exponent < 1.0:
-            raise ValueError(
-                f"margin_exponent (kappa) must be >= 1, got {self.margin_exponent!r}"
-            )
         if not math.isfinite(self.tie_gap) or self.tie_gap < 0.0:
             raise ValueError(f"tie_gap must be a nonnegative finite number, got {self.tie_gap!r}")
 
@@ -183,14 +174,11 @@ def generate_instance(genspec: GeneratorSpec, m: int, seed: int):
         return _classification_atoms(eta), TabularDictionary(values, range_bound=1.0)
 
     if family == "margin_classification":
-        t = (np.arange(k) + 0.5) / k - 0.5
-        kappa = genspec.margin_exponent
-        if kappa == 1.0:
-            eta = 0.5 + 0.25 * np.sign(t)
-        else:
-            dev = 0.45 * np.sign(t) * np.minimum(1.0, np.abs(2.0 * t) ** (1.0 / (kappa - 1.0)))
-            eta = np.clip(0.5 + dev, 0.05, 0.95)
-        values = np.vstack([np.sign(t), rng.uniform(-1.0, 1.0, (m - 1, k))])
+        # arm 0 is the Bayes classifier; an odd grid's middle point goes to +1,
+        # so |2 eta - 1| = 1/2 at every point
+        bayes = np.where(2 * np.arange(k) < k - 1, -1.0, 1.0)
+        eta = 0.5 + 0.25 * bayes
+        values = np.vstack([bayes, rng.uniform(-1.0, 1.0, (m - 1, k))])
         return _classification_atoms(eta), TabularDictionary(values, range_bound=1.0)
 
     # near_tie: constant predictors with risks spaced exactly tie_gap apart
@@ -335,6 +323,11 @@ def _excess_statistics(achieved: np.ndarray, oracle_value: float) -> tuple:
     return mean_excess, math.sqrt(float(np.square(deviations).sum()) / (reps - 1)) / math.sqrt(reps)
 
 
+def _bound_holds(mean_excess: float, stderr: float, bound: float) -> bool:
+    """The 2σ verdict: the mean excess minus two standard errors is at most ``bound``."""
+    return bool(mean_excess - 2.0 * stderr <= bound)
+
+
 def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
     """Run every configured algorithm on every cell of one dictionary size.
 
@@ -383,7 +376,7 @@ def run_dictionary_size(config: ExperimentConfig, m: int) -> list:
                 stderr=stderr,
                 oracle_value=oracle_value,
                 bound_value=bound,
-                bound_pass=None if bound is None else bool(mean_excess - 2.0 * stderr <= bound),
+                bound_pass=None if bound is None else _bound_holds(mean_excess, stderr, bound),
                 seed=config.master_seed,
             )
         )
@@ -479,9 +472,7 @@ def verify_bound(rows: Sequence[ResultRow], bound: str) -> BoundCheck:
     ]
     if not picked:
         raise ValueError(f"no rows carry the {bound!r} bound")
-    failures = tuple(
-        row for row in picked if not (row.mean_excess - 2.0 * row.stderr <= row.bound_value)
-    )
+    failures = tuple(row for row in picked if not _bound_holds(row.mean_excess, row.stderr, row.bound_value))
     return BoundCheck(
         checked=len(picked),
         fraction_passed=1.0 - len(failures) / len(picked),

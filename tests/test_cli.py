@@ -256,17 +256,6 @@ seed = 5
         assert proc.returncode == 2
         assert "config error: [experiment] loss: unknown loss kind 'cubic'" in proc.stderr
 
-    def test_kappa_below_one_is_a_config_error(self, tmp_path):
-        text = (
-            RUN_CONFIG.replace("family = bounded_regression", "family = margin_classification\nmargin_exponent = 0.5")
-            .replace("noise_level = 0.25\n", "")
-            .replace("loss = squared", "loss = phi_exponential")
-        )
-        config = write_config(tmp_path, text)
-        proc = run_cli("run", "--config", config, "--quiet", "--out", str(tmp_path / "o"))
-        assert proc.returncode == 2
-        assert "config error: [generator] margin_exponent (kappa) must be >= 1" in proc.stderr
-
     @pytest.mark.parametrize(
         "jobs, cpus, expected",
         [("5000", 2, [2]), ("5000", 64, [3]), ("2", 64, [2]), ("5000", None, [])],
@@ -330,6 +319,18 @@ class TestCheckConditionsCommand:
         verdicts = {tuple(line.split(",")[1:3]): line.split(",")[5] for line in lines[2:]}
         assert verdicts[("16", "exp_moment")] == "satisfied"
         assert verdicts[("0.16", "exp_moment")] == "violated"
+
+    def test_a_margin_exponent_is_an_unknown_key(self, tmp_path):
+        text = (
+            CONDITIONS_CONFIG.replace("family = near_tie", "family = margin_classification\nmargin_exponent = 2")
+            .replace("noise_level = 0.5\ntie_gap = 0.01\n", "")
+            .replace("loss = squared", "loss = phi_logit2")
+        )
+        out = tmp_path / "out"
+        proc = run_cli("check-conditions", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: [generator] margin_exponent: unknown key; supported: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, bad, message",
@@ -454,23 +455,28 @@ class TestRatesCommand:
 
 class TestCanonicalConfig:
     @pytest.mark.parametrize(
-        "old, new, label",
+        "old, new, error",
         [
-            ("loss = phi_logit2", "loss = phi_logit2\ny_bound = 7", "[experiment] y_bound"),
-            ("grid_size = 8", "grid_size = 8\nnoise_level = 0.25", "[generator] noise_level"),
-            ("grid_size = 8", "grid_size = 8\nmargin_exponent = 3", "[generator] margin_exponent"),
-            ("grid_size = 8", "grid_size = 8\ntie_gap = 0.5", "[generator] tie_gap"),
+            ("loss = phi_logit2", "loss = phi_logit2\ny_bound = 7", "[experiment] y_bound is not read when "),
+            ("grid_size = 8", "grid_size = 8\nnoise_level = 0.25", "[generator] noise_level is not read when "),
+            # no family reads the margin exponent, not even at its former default
+            (
+                "family = phi_classification",
+                "family = margin_classification\nmargin_exponent = 1",
+                "[generator] margin_exponent: unknown key; supported: ",
+            ),
+            ("grid_size = 8", "grid_size = 8\ntie_gap = 0.5", "[generator] tie_gap is not read when "),
             ("MA LMA ERM", "LMA ERM", None),
         ],
         ids=["y_bound", "noise_level", "margin_exponent", "tie_gap", "ma_beta0"],
     )
-    def test_a_key_the_run_does_not_read_is_a_config_error(self, tmp_path, capsys, old, new, label):
+    def test_a_key_the_run_does_not_read_is_a_config_error(self, tmp_path, capsys, old, new, error):
         text = MARGIN_CONFIG.replace(old, new)
-        if label is None:
-            text, label = text + "\n[schedule]\nma_beta0 = 1\n", "[schedule] ma_beta0"
+        if error is None:
+            text, error = text + "\n[schedule]\nma_beta0 = 1\n", "[schedule] ma_beta0 is not read when "
         out = tmp_path / "out"
         assert cli.main(["run", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {label} is not read when ")
+        assert capsys.readouterr().err.startswith(f"config error: {error}")
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["bounded_regression", "near_tie"])
@@ -584,7 +590,7 @@ class TestCanonicalConfig:
 
 
 # one value per [generator] key, each unlike its default
-CHANGED = {"grid_size": 5, "noise_level": 0.25, "margin_exponent": 3.0, "tie_gap": 0.02}
+CHANGED = {"grid_size": 5, "noise_level": 0.25, "tie_gap": 0.02}
 
 
 def instance_of(genspec):

@@ -90,15 +90,33 @@ class TestGenerators:
         assert report.risk_value == 0.0
         assert report.minimizer == 0
 
-    def test_hard_margin_family_keeps_eta_away_from_half(self):
-        spec = GeneratorSpec(family="margin_classification", grid_size=8, margin_exponent=1.0)
-        dist, _ = generate_instance(spec, m=3, seed=4)
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_hard_margin_family_keeps_eta_away_from_half(self, k):
+        """At odd ``k`` too, whose middle point sits at the centre of the grid; arm 0 is the ±1 Bayes classifier."""
+        spec = GeneratorSpec(family="margin_classification", grid_size=k)
+        dist, dictionary = generate_instance(spec, m=3, seed=4)
         conditional = {}
         for sample, p in dist.atoms:
             pos, tot = conditional.get(sample.x, (0.0, 0.0))
             conditional[sample.x] = (pos + (p if sample.y == 1.0 else 0.0), tot + p)
         etas = np.array([pos / tot for pos, tot in conditional.values()])
+        assert len(etas) == k
         assert np.min(np.abs(etas - 0.5)) >= 0.25 - 1e-12
+        assert np.array_equal(dictionary.values[0], np.sign(etas - 0.5))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_hard_margin_bayes_arm_has_hinge_risk_one_half_at_odd_grid_size(self, k):
+        """With |2 eta - 1| = 1/2 at every point, the ±1 arm 0 has hinge risk 1 - 1/2 and no arm does better."""
+        spec = GeneratorSpec(family="margin_classification", grid_size=k)
+        dist, dictionary = generate_instance(spec, m=3, seed=4)
+        hinge = LossSpec("phi_hinge")
+        assert exact_risk(0, dictionary, hinge, dist) == pytest.approx(0.5, abs=1e-12)
+        assert ms_oracle(dictionary, hinge, dist).minimizer == 0
+
+    def test_the_recipe_has_no_margin_exponent(self):
+        """No family reads a margin exponent, so the recipe takes none."""
+        with pytest.raises(TypeError, match="margin_exponent"):
+            GeneratorSpec(family="margin_classification", margin_exponent=2.0)
 
     def test_near_tie_ladder_spaces_risks_exactly(self):
         delta = 0.01
@@ -113,10 +131,6 @@ class TestGenerators:
         spec = GeneratorSpec(family="near_tie", grid_size=4, noise_level=0.5, tie_gap=0.03)
         with pytest.raises(ValueError, match="infeasible"):
             generate_instance(spec, m=40, seed=0)
-
-    def test_kappa_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            GeneratorSpec(family="margin_classification", margin_exponent=0.5)
 
 
 class TestRunCell:
@@ -349,7 +363,7 @@ class TestCellStatistics:
     def test_an_erm_cell_whose_every_replicate_picks_the_oracle_arm_reads_zero(self):
         """Hinge margin instance: from n = 128 every ERM replicate picks the selection oracle's arm."""
         config = ExperimentConfig(
-            generator=GeneratorSpec("margin_classification", grid_size=64, margin_exponent=2.0),
+            generator=GeneratorSpec("margin_classification", grid_size=64),
             n_grid=(32, 128, 512, 2048, 8192),
             m_grid=(8,),
             replications=400,

@@ -451,12 +451,12 @@ class TestSelectorAgainstOracle:
 class TestHingeConvexOracle:
     """One projected-gradient solver serves the hinge loss through its subgradient."""
 
-    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    @pytest.mark.parametrize("family", ["margin_classification", "phi_classification"])
     @pytest.mark.parametrize("m", [2, 4, 8, 32])
-    def test_equals_selection_oracle_exactly_on_unit_range(self, kappa, m):
+    def test_equals_selection_oracle_exactly_on_unit_range(self, family, m):
         # the hinge risk is affine on the simplex here, so the infimum is the best vertex
         spec = LossSpec("phi_hinge")
-        genspec = GeneratorSpec("margin_classification", margin_exponent=kappa)
+        genspec = GeneratorSpec(family)
         for seed in range(4):
             dist, dic = generate_instance(genspec, m, seed)
             convex = c_oracle(dic, spec, dist)

@@ -7,10 +7,14 @@ passed to ``numpy.random.default_rng`` by a small ``run`` and a small
 ``check-conditions`` and compare the first draw of each stream.
 """
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from mirroragg import cli
+from mirroragg import cli, experiments
+from mirroragg import conditions as checkers
 
 # n = 1 and n = 2 equal the family codes of bounded_regression and
 # phi_classification, where a replicate key holding n met the instance key
@@ -97,3 +101,32 @@ def test_every_stream_of_a_condition_check_is_its_own(keys):
     _, conditions = keys
     draws = [first_draw(key) for key in conditions]
     assert len(set(draws)) == len(conditions)
+
+
+def literal_constants(module):
+    """The module-level names of ``module`` assigned a literal, with their values."""
+    found = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            try:
+                found[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    return found
+
+
+def test_the_purpose_words_are_fixed_literals_and_pairwise_distinct():
+    """A family's code and the replicate tag are written out, not computed from the family list.
+
+    Were they computed from it, a new family would re-key every replicate
+    stream, and a fifth family would make the replicate tag 6, the moment
+    stream's tag: replicate 0 of size M, ``[seed, 6, M, 0]``, and the
+    moment stream's replicate M, ``[seed, 6, M]``, would seed one generator.
+    """
+    words, checks = literal_constants(experiments), literal_constants(checkers)
+    codes = words["_FAMILY_CODES"]
+    assert codes == {"bounded_regression": 1, "phi_classification": 2, "margin_classification": 3, "near_tie": 4}
+    assert codes == experiments._FAMILY_CODES and tuple(codes) == experiments.FAMILIES
+    tags = (words["_REPLICATE_TAG"], checks["_MOMENT_TAG"], checks["_CONCAVITY_TAG"])
+    assert tags == (experiments._REPLICATE_TAG, checkers._MOMENT_TAG, checkers._CONCAVITY_TAG) == (5, 6, 7)
+    assert len({*codes.values(), *tags}) == len(codes) + len(tags)
