@@ -29,8 +29,8 @@ checkpoints, increasing step counts up to ``n``, and returns one
 steps, the same bit for bit as a fold that stops there.  One fold to the
 largest sample size thus serves every smaller one.  The public runs fold
 their sample into such a table, one atom per distinct observation and
-one replicate row of indices, so they evaluate the dictionary once per
-distinct observation; they validate what the kernels take on trust.
+one replicate row of indices, and evaluate the dictionary once per
+distinct design point; they validate what the kernels take on trust.
 ``ma_step`` is the validated per-sample step the kernels are tested
 against.
 
@@ -101,7 +101,16 @@ from .losses import (  # noqa: F401
     loss_gradient_theta,
     loss_values,
 )
-from .simplex import Dictionary, gibbs_map, mixture_value, renormalize, require_positive, softmin, uniform_weights
+from .simplex import (
+    Dictionary,
+    first_seen,
+    gibbs_map,
+    mixture_value,
+    renormalize,
+    require_positive,
+    softmin,
+    uniform_weights,
+)
 
 __all__ = [
     "Schedule",
@@ -353,28 +362,22 @@ def erm_totals(idx, losses, checkpoints) -> list:
 def _sample_atoms(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dictionary):
     """The sample as an atom table: ``(idx, design, ys)`` with ``idx`` of shape ``(1, n)``.
 
-    Each observation maps to the first equal one seen, so the dictionary
-    is evaluated once per distinct observation.  An observation whose
-    design point is unhashable takes a row of its own.
+    Each observation maps to the first equal one seen, and each atom's
+    design point to the first equal point seen (``first_seen``), so the
+    dictionary is evaluated once per distinct design point: both labels
+    at one point share its row.  An unhashable design point is its own.
     """
     if len(data) == 0:
         raise ValueError("need at least one observation")
-    first: dict = {}
-    atoms: list = []
-    idx = np.empty((1, len(data)), dtype=np.intp)
-    for t, z in enumerate(data):
-        try:
-            a = first.setdefault(z, len(atoms))
-        except TypeError:
-            a = len(atoms)
-        if a == len(atoms):
-            atoms.append(z)
-        idx[0, t] = a
+    atom_of, firsts = first_seen(data)
+    atoms = [data[t] for t in firsts]
     ys = np.array([z.y for z in atoms], dtype=float)
     check_labels(spec, ys)
-    design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in atoms])
+    point_of, points = first_seen([z.x for z in atoms])
+    rows = np.stack([np.asarray(dictionary.values_at(atoms[a].x), dtype=float) for a in points])
+    design = rows.take(point_of, axis=0)
     check_margin_range(spec.kind, design)
-    return idx, design, ys
+    return atom_of[None, :], design, ys
 
 
 def ma_run(

@@ -14,6 +14,15 @@ the exact risk gradient, which upper-bounds the suboptimality of a convex
 objective over the simplex.  For the hinge loss ``g`` is a subgradient
 that takes slope 1 at a zero margin, so the gap stays a true bound.
 
+The minimizer works on distinct design points, not atoms: atoms at one
+point ``x`` share a row of dictionary values, and the generated families
+put two labels at each point (noise-free regression excepted), so one row
+per point (``FiniteDistribution.design_points``) halves the table that
+the solver streams four times an iteration.  An atom's mixture value is
+its point's, and the gradient sums the atoms' weights per point before
+one product.  The oracle's value is priced on the atom table, as every
+mixture is.
+
 Each oracle has a table-level form that reads what a caller has already
 tabulated: ``ms_oracle_of_losses`` the per-atom loss table and
 ``c_oracle_of_design`` the ``atom_design`` table.  ``ms_oracle`` and
@@ -31,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .losses import LabeledSample, LossSpec, PHI_HINGE, check_labels, grad_coef, loss_values
-from .simplex import Dictionary, require_positive, uniform_weights, validate_weights
+from .simplex import Dictionary, first_seen, require_positive, uniform_weights, validate_weights
 
 __all__ = [
     "FiniteDistribution",
@@ -91,6 +100,11 @@ class FiniteDistribution:
     @cached_property
     def ps(self) -> np.ndarray:
         return np.asarray([p for _, p in self.atoms], dtype=float)
+
+    @cached_property
+    def design_points(self) -> tuple:
+        """``first_seen`` of the atoms' design points ``z.x``: ``(point_of_atom, first_atoms)``."""
+        return first_seen([z.x for z, _ in self.atoms])
 
     def validate_for(self, spec: LossSpec) -> None:
         """Check every atom is legal under ``spec`` (labels, bounds)."""
@@ -220,9 +234,14 @@ class ConvergenceError(RuntimeError):
 
 
 def atom_design(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> np.ndarray:
-    """Matrix ``F[a, j] = f_j(x_a)`` over the atoms of ``dist``, once their labels pass ``spec``'s rule."""
+    """Matrix ``F[a, j] = f_j(x_a)`` over the atoms of ``dist``, once their labels pass ``spec``'s rule.
+
+    The dictionary is evaluated once per design point of ``dist``.
+    """
     dist.validate_for(spec)
-    return np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z, _ in dist.atoms])
+    point_of_atom, first_atoms = dist.design_points
+    rows = np.stack([np.asarray(dictionary.values_at(dist.atoms[a][0].x), dtype=float) for a in first_atoms])
+    return rows.take(point_of_atom, axis=0)
 
 
 def _block_width(length: int) -> int:
@@ -344,14 +363,14 @@ def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, theta
 def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> float:
     """Exact population risk of a vertex or mixture under ``dist``.
 
-    An integer selects the single function ``f_j``, whose values are
-    ``column_risks``' one column.  A weight vector selects the mixture,
-    priced as ``mixture_risks`` prices every mixture: a column of
-    ``design @ block.T`` with the vector in a zero-padded block of
-    ``_MIXTURE_WIDTH`` rows.  So its risk is bit for bit the one a grid
-    checkpoint reports for the same vector, and ``c_oracle``'s value is
-    ``exact_risk`` of its minimizer.  Either way the result is the exact
-    sum over atoms rounded once.
+    An integer selects the single function ``f_j``, evaluated once per
+    design point, whose values are ``column_risks``' one column.  A weight
+    vector selects the mixture, priced as ``mixture_risks`` prices every
+    mixture: a column of ``design @ block.T`` with the vector in a
+    zero-padded block of ``_MIXTURE_WIDTH`` rows.  So its risk is bit for
+    bit the one a grid checkpoint reports for the same vector, and
+    ``c_oracle``'s value is ``exact_risk`` of its minimizer.  Either way
+    the result is the exact sum over atoms rounded once.
     """
     if not isinstance(theta_or_index, (int, np.integer)):
         design = atom_design(dictionary, spec, dist)
@@ -360,8 +379,9 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
     j = int(theta_or_index)
     if not 0 <= j < dictionary.size:
         raise ValueError(f"function index {j} outside dictionary of size {dictionary.size}")
-    values = np.asarray([dictionary.evaluate(j, z.x) for z, _ in dist.atoms], dtype=float)
-    return column_risks(spec.kind, dist, values[:, None])[0]
+    point_of_atom, first_atoms = dist.design_points
+    values = np.asarray([dictionary.evaluate(j, dist.atoms[a][0].x) for a in first_atoms], dtype=float)
+    return column_risks(spec.kind, dist, values.take(point_of_atom)[:, None])[0]
 
 
 def ms_oracle_of_losses(losses: np.ndarray, dist: FiniteDistribution) -> RiskReport:
@@ -392,23 +412,29 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _minimize(design, kind, dist, tol, max_iter):
+def _minimize(rows, kind, dist, tol, max_iter):
     """Accelerated projected gradient with backtracking and restarts.
 
-    Each point (the iterate, the momentum point, each backtracking
-    candidate) carries its mixture ``design @ theta``: one product per point
-    serves both its risk and its gradient.  Acceleration is dropped after an
-    initial phase: the momentum steps make early progress but oscillate near
-    the optimum, while plain backtracked projected-gradient steps are
-    monotone and let the vertex gap settle below the certification
-    tolerance.  For the hinge loss the gradient is the subgradient with
-    slope 1 at a zero margin: the steps are then only a heuristic, and the
-    vertex gap alone decides success.  Returns ``(theta, gap)`` once
-    ``gap <= tol``, else raises ``ConvergenceError`` with the last iterate,
-    its risk and its own gap.  ``theta`` only moves to a candidate of no larger
-    risk, so the last iterate has the lowest risk any reached.
+    ``rows[g, j]`` is function ``j``'s value at design point ``g`` of
+    ``dist``.  Each weight vector the solver visits (the iterate, the
+    momentum vector, each backtracking candidate) carries its mixture over
+    the atoms, ``rows @ theta`` read at each atom's point: one product
+    serves both its risk and its gradient.  Acceleration is dropped after an initial phase: the momentum steps
+    make early progress but oscillate near the optimum, while plain
+    backtracked projected-gradient steps are monotone and let the vertex
+    gap settle below the certification tolerance.  For the hinge loss the
+    gradient is the subgradient with slope 1 at a zero margin: the steps
+    are then only a heuristic, and the vertex gap alone decides success.
+    Returns ``(theta, gap)`` once ``gap <= tol``, else raises
+    ``ConvergenceError`` with the last iterate, its risk and its own gap.
+    ``theta`` only moves to a candidate of no larger risk, so the last
+    iterate has the lowest risk any reached.
     """
     ys, ps = dist.ys, dist.ps
+    point_of_atom = dist.design_points[0]
+
+    def mixture(theta):
+        return (rows @ theta).take(point_of_atom)
 
     def risk(mix):
         return float(ps @ loss_values(kind, ys, mix))
@@ -416,24 +442,26 @@ def _minimize(design, kind, dist, tol, max_iter):
     def grad(mix):
         if kind == PHI_HINGE:
             # subgradient: slope 1 wherever the margin 1 - y f is exactly zero
-            return design.T @ (ps * (ys * mix <= 1.0) * -ys)
-        return design.T @ (ps * grad_coef(kind, ys, mix))
+            weights = ps * (ys * mix <= 1.0) * -ys
+        else:
+            weights = ps * grad_coef(kind, ys, mix)
+        return rows.T @ np.bincount(point_of_atom, weights=weights, minlength=rows.shape[0])
 
     accel_phase = min(2000, max_iter)
-    theta = uniform_weights(design.shape[1])
-    theta_mix = design @ theta
+    theta = uniform_weights(rows.shape[1])
+    theta_mix = mixture(theta)
     momentum = theta.copy()
     t_acc = 1.0
     lips = 1.0
     f_theta = risk(theta_mix)
     for it in range(max_iter):
         accelerated = it < accel_phase
-        point, point_mix = (momentum, design @ momentum) if accelerated else (theta, theta_mix)
+        point, point_mix = (momentum, mixture(momentum)) if accelerated else (theta, theta_mix)
         g_y = grad(point_mix)
         f_y = risk(point_mix)
         while True:
             cand = _project_simplex(point - g_y / lips)
-            cand_mix = design @ cand
+            cand_mix = mixture(cand)
             diff = cand - point
             quad = f_y + float(g_y @ diff) + 0.5 * lips * float(diff @ diff)
             f_cand = risk(cand_mix)
@@ -472,19 +500,20 @@ def c_oracle_of_design(
 ) -> RiskReport:
     """Infimum of the exact risk over all mixtures of the columns of an ``atom_design`` table.
 
-    ``design[a, j]`` is function ``j``'s value at atom ``a`` of ``dist``.
-    Minimizes ``theta -> R(f_theta)`` over the simplex with one
-    projected-gradient solver for every loss and certifies the result with
-    the vertex gap at the exact risk gradient (for the hinge loss, the
-    subgradient with slope 1 at a zero margin); on success the certificate
-    is at most ``tol``.  Failure to certify within ``max_iter`` iterations,
-    whatever the loss, raises ``ConvergenceError`` carrying the last iterate,
-    its risk and its own vertex gap.
+    ``design[a, j]`` is function ``j``'s value at atom ``a`` of ``dist``;
+    the solver reads one row per design point.  Minimizes
+    ``theta -> R(f_theta)`` over the simplex with one projected-gradient
+    solver for every loss and certifies the result with the vertex gap at
+    the exact risk gradient (for the hinge loss, the subgradient with slope
+    1 at a zero margin); on success the certificate is at most ``tol``.
+    Failure to certify within ``max_iter`` iterations, whatever the loss,
+    raises ``ConvergenceError`` carrying the last iterate, its risk and its
+    own vertex gap.
     """
     require_positive("tol", tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    theta, gap = _minimize(design, kind, dist, tol, max_iter)
+    theta, gap = _minimize(design.take(dist.design_points[1], axis=0), kind, dist, tol, max_iter)
     return RiskReport(
         risk_value=mixture_risks(kind, dist, design, [theta])[0],
         oracle_kind="C",

@@ -137,15 +137,37 @@ def mixture_value(theta, dictionary: "Dictionary", x) -> float:
     return float((arr * vals).sum())
 
 
+def first_seen(keys) -> tuple:
+    """``(number_of, firsts)``: the keys numbered in first-seen order, equal keys by one number.
+
+    ``number_of[i]`` (``intp``) is the number of ``keys[i]`` and
+    ``firsts[g]`` the position of the first key numbered ``g``.  An
+    unhashable key is equal to no other and takes a number of its own.
+    """
+    number: dict = {}
+    firsts: list = []
+    number_of = np.empty(len(keys), dtype=np.intp)
+    for i, key in enumerate(keys):
+        try:
+            g = number.setdefault(key, len(firsts))
+        except TypeError:
+            g = len(firsts)
+        if g == len(firsts):
+            firsts.append(i)
+        number_of[i] = g
+    return number_of, firsts
+
+
 class Dictionary:
     """Finite dictionary of real-valued functions with a declared range bound.
 
     Subclasses call ``__init__(size, range_bound)``, the one check of the
     range bound, and provide ``evaluate``; ``values_at`` has a generic fallback.
     Evaluations must be deterministic and bounded by ``range_bound`` in
-    absolute value, and equal at design points that compare equal: the
-    public runs call ``values_at`` once per distinct observation and let
-    observations that compare equal share one atom.
+    absolute value, and equal at design points that compare equal: tables
+    of dictionary values (``atom_design``, the public runs, ``exact_risk``
+    of one function) evaluate the dictionary once per distinct design point
+    (``first_seen``) and give every atom at that point its row.
     """
 
     size: int

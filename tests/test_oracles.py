@@ -644,7 +644,7 @@ class TestColumnRisks:
 
 
 class CountingDesign:
-    """A design matrix that keeps the point of each ``design @ theta`` product; ``design.T`` stays a plain array."""
+    """A table of point rows that keeps the weight vector of each ``rows @ theta`` product; ``rows.T`` stays a plain array."""
 
     def __init__(self, array):
         self.array = array
@@ -667,11 +667,13 @@ class TestSolverMixtures:
         ],
     )
     def test_one_product_per_point_and_the_gap_of_a_fresh_product(self, kind, genspec):
-        """Every point the solver visits carries its own mixture, and the gap it returns is the final iterate's."""
+        """Every weight vector the solver visits carries its own point-row product; the gap is the final iterate's."""
         dist, dictionary = generate_instance(genspec, 6, 23)
         design = oracles.atom_design(dictionary, LossSpec(kind), dist)
-        assert design.shape[0] != design.shape[1]
-        counting = CountingDesign(design)
+        point_of_atom, first_atoms = dist.design_points
+        rows = design.take(first_atoms, axis=0)
+        assert 2 * len(rows) == len(design) and rows.shape[0] != rows.shape[1]
+        counting = CountingDesign(rows)
         try:
             theta, gap = oracles._minimize(counting, kind, dist, tol=1e-8, max_iter=3000)
         except ConvergenceError as err:
@@ -679,11 +681,12 @@ class TestSolverMixtures:
         # every point is kept alive by the list, so distinct ids are distinct objects
         assert len({id(point) for point in counting.points}) == len(counting.points) > 2
         assert any(point is theta for point in counting.points)
-        ps, ys, mix = dist.ps, dist.ys, design @ theta
+        ps, ys, mix = dist.ps, dist.ys, (rows @ theta).take(point_of_atom)
         if kind == PHI_HINGE:
-            g = design.T @ (ps * (ys * mix <= 1.0) * -ys)
+            weights = ps * (ys * mix <= 1.0) * -ys
         else:
-            g = design.T @ (ps * grad_coef(kind, ys, mix))
+            weights = ps * grad_coef(kind, ys, mix)
+        g = rows.T @ np.bincount(point_of_atom, weights=weights, minlength=len(rows))
         assert gap == float(theta @ g - g.min())
 
 
@@ -735,3 +738,110 @@ class TestTableForms:
         with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
             solve(max_iter=0)
         assert solve().risk_value == 0.25
+
+
+class CountingTable(TabularDictionary):
+    """A table dictionary that records the design point of every ``values_at`` and ``evaluate`` call."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.calls = []
+
+    def values_at(self, x):
+        self.calls.append(x)
+        return super().values_at(x)
+
+    def evaluate(self, j, x):
+        self.calls.append(x)
+        return super().evaluate(j, x)
+
+
+# every generated family that puts two labels at each design point
+PAIRED_FAMILIES = [
+    (GeneratorSpec("phi_classification", grid_size=16), "phi_logit2"),
+    (GeneratorSpec("margin_classification", grid_size=16), "phi_exponential"),
+    (GeneratorSpec("bounded_regression", grid_size=16, noise_level=0.25), "squared"),
+    (GeneratorSpec("near_tie", grid_size=16, noise_level=0.5), "squared"),
+]
+PAIRED_IDS = [genspec.family for genspec, _ in PAIRED_FAMILIES]
+
+
+class TestPointTables:
+    def test_points_are_numbered_in_first_seen_order_and_an_unhashable_point_is_its_own(self):
+        xs = [3, 1, 3, np.array([0.5]), 1, np.array([0.5]), 0, 3.0]
+        dist = FiniteDistribution([atom(x, 1.0 if i % 2 else -1.0, 0.125) for i, x in enumerate(xs)])
+        point_of_atom, first_atoms = dist.design_points
+        assert point_of_atom.dtype == np.intp
+        assert point_of_atom.tolist() == [0, 1, 0, 2, 1, 3, 4, 0]
+        assert first_atoms == [0, 1, 3, 5, 6]
+        assert dist.design_points is dist.design_points
+
+    @pytest.mark.parametrize("genspec, kind", PAIRED_FAMILIES, ids=PAIRED_IDS)
+    def test_paired_label_families_have_one_point_per_two_atoms(self, genspec, kind):
+        dist, _ = generate_instance(genspec, 5, 3)
+        point_of_atom, first_atoms = dist.design_points
+        assert point_of_atom.tolist() == np.repeat(np.arange(16), 2).tolist()
+        assert first_atoms == list(range(0, 32, 2))
+
+    @pytest.mark.parametrize("family", ["bounded_regression", "near_tie"])
+    def test_noise_free_regression_has_one_point_per_atom(self, family):
+        dist, _ = generate_instance(GeneratorSpec(family, grid_size=16), 5, 3)
+        point_of_atom, first_atoms = dist.design_points
+        assert point_of_atom.tolist() == first_atoms == list(range(16))
+
+    @pytest.mark.parametrize("m", [3, 40, 256])
+    def test_at_one_atom_per_point_the_point_products_are_the_atom_products_bit_for_bit(self, m):
+        dist, dictionary = generate_instance(GeneratorSpec("bounded_regression", grid_size=64), m, 9)
+        design = oracles.atom_design(dictionary, LossSpec("squared"), dist)
+        point_of_atom, first_atoms = dist.design_points
+        rows = design.take(first_atoms, axis=0)
+        assert rows.shape == design.shape
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            theta = rng.dirichlet(np.ones(m))
+            mix = (rows @ theta).take(point_of_atom)
+            assert mix.tobytes() == (design @ theta).tobytes()
+            weights = dist.ps * grad_coef("squared", dist.ys, mix)
+            gradient = rows.T @ np.bincount(point_of_atom, weights=weights, minlength=len(rows))
+            assert gradient.tobytes() == (design.T @ weights).tobytes()
+
+    @pytest.mark.parametrize("genspec, kind", PAIRED_FAMILIES, ids=PAIRED_IDS)
+    def test_the_per_point_gradient_is_the_atom_gradient_summed_per_point(self, genspec, kind):
+        dist, dictionary = generate_instance(genspec, 40, 9)
+        design = oracles.atom_design(dictionary, LossSpec(kind), dist)
+        point_of_atom, first_atoms = dist.design_points
+        rows = design.take(first_atoms, axis=0)
+        theta = np.random.default_rng(1).dirichlet(np.ones(40))
+        mix = (rows @ theta).take(point_of_atom)
+        assert_allclose(mix, design @ theta, rtol=0.0, atol=1e-15)
+        weights = dist.ps * grad_coef(kind, dist.ys, mix)
+        gradient = rows.T @ np.bincount(point_of_atom, weights=weights, minlength=len(rows))
+        assert_allclose(gradient, design.T @ weights, rtol=1e-13, atol=1e-16)
+
+    def test_a_solve_at_one_atom_per_point_keeps_the_value_of_the_atom_table_solver(self):
+        """Pinned from the solver that read one row per atom (OpenBLAS 0.3.31); at one atom per point the products are the same."""
+        dictionary, dist = random_regression_instance(np.random.default_rng(11), 12, atoms=40)
+        report = c_oracle(dictionary, LossSpec("squared"), dist)
+        assert np.count_nonzero(report.minimizer) > 1
+        assert report.risk_value == float.fromhex("0x1.dd1398ccb0c3ap-3")
+        assert report.gap_certificate == float.fromhex("0x1.4e6625b000000p-27")
+
+    @pytest.mark.parametrize("genspec, kind", PAIRED_FAMILIES, ids=PAIRED_IDS)
+    def test_tables_evaluate_the_dictionary_once_per_point_and_keep_their_bytes(self, genspec, kind):
+        dist, tabular = generate_instance(genspec, 6, 4)
+        spec = LossSpec(kind)
+        points = [dist.atoms[a][0].x for a in dist.design_points[1]]
+        assert 2 * len(points) == len(dist.atoms)
+        dictionary = CountingTable(tabular.values)
+        design = oracles.atom_design(dictionary, spec, dist)
+        assert dictionary.calls == points
+        assert design.tobytes() == np.stack([tabular.values_at(z.x) for z, _ in dist.atoms]).tobytes()
+        for j in range(dictionary.size):
+            dictionary.calls.clear()
+            risk = exact_risk(j, dictionary, spec, dist)
+            assert dictionary.calls == points
+            assert risk == column_risks(kind, dist, design[:, j : j + 1])[0]
+        for solve in (c_oracle, ms_oracle, lambda *args: exact_risk(uniform_weights(6), *args)):
+            dictionary.calls.clear()
+            solve(dictionary, spec, dist)
+            assert dictionary.calls == points
