@@ -329,34 +329,28 @@ def column_risks(kind: str, dist: FiniteDistribution, values: np.ndarray) -> lis
 def mixture_risks(kind: str, dist: FiniteDistribution, design: np.ndarray, thetas) -> list:
     """Exact risk of the mixture ``design @ theta`` for each weight vector ``theta`` of ``thetas``.
 
-    Every mixture is a column of one product shape, ``design @ block.T``
-    with ``block`` exactly ``_MIXTURE_WIDTH`` weight vectors.  At a fixed
-    width a column's bits depend neither on its position and neighbours nor
-    on the BLAS thread count; a width that followed the call would make a
-    lone vector a matrix-vector product, which sums in another order.  So a
-    vector's risk is a function of ``(design, theta)`` alone, whichever call
-    prices it.  Full blocks are views of ``thetas``; past them the last
-    block is the last ``_MIXTURE_WIDTH`` vectors, overlapping the one
-    before, and fewer vectors than that are zero-padded.  The products pass
-    through one buffer of at most ``max(_BLOCK_ENTRIES, K * _MIXTURE_WIDTH)``
-    entries for ``K`` atoms, reduced one ``_block_width`` span at a time.
+    Every mixture is a column of ``design @ block.T``, ``block`` being
+    ``_MIXTURE_WIDTH`` consecutive weight vectors, the last block
+    zero-padded.  At that fixed width a column's bits depend neither on its
+    neighbours nor on the BLAS thread count, so a vector's risk is a
+    function of ``(design, theta)`` alone, whichever call prices it.  The
+    products pass through one buffer of at most
+    ``max(_BLOCK_ENTRIES, K * _MIXTURE_WIDTH)`` entries for ``K`` atoms.
     """
     width = _MIXTURE_WIDTH
     count = len(thetas)
     thetas = np.ascontiguousarray(thetas, dtype=float).reshape(count, design.shape[1])
-    if count < width:
-        thetas = np.concatenate([np.zeros((width - count, design.shape[1])), thetas])
-    starts = [*range(0, len(thetas) - width, width), len(thetas) - width]
-    per_span = max(1, _block_width(len(design)) // width)
-    buffer = np.empty((len(design), width * min(per_span, len(starts))))
-    risks, done = [], len(thetas) - count  # the padding is never priced
-    for first in range(0, len(starts), per_span):
-        base = starts[first]
-        for start in starts[first : first + per_span]:
-            # an overlapping last block rewrites the columns it shares with the same bits
-            np.matmul(design, thetas[start : start + width].T, out=buffer[:, start - base : start - base + width])
-        risks += column_risks(kind, dist, buffer[:, done - base : start + width - base])
-        done = start + width
+    span = width * max(1, _block_width(len(design)) // width)
+    buffer = np.empty((len(design), min(span, -(-count // width) * width)))
+    risks = []
+    for first in range(0, count, span):
+        stop = min(first + span, count)
+        for start in range(first, stop, width):
+            block = thetas[start : start + width]
+            if len(block) < width:
+                block = np.concatenate([block, np.zeros((width - len(block), design.shape[1]))])
+            np.matmul(design, block.T, out=buffer[:, start - first : start - first + width])
+        risks += column_risks(kind, dist, buffer[:, : stop - first])
     return risks
 
 
@@ -413,22 +407,17 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _minimize(rows, kind, dist, tol, max_iter):
-    """Accelerated projected gradient with backtracking and restarts.
+    """Accelerated projected gradient with backtracking, restarted whenever a step raises the risk.
 
     ``rows[g, j]`` is function ``j``'s value at design point ``g`` of
-    ``dist``.  Each weight vector the solver visits (the iterate, the
-    momentum vector, each backtracking candidate) carries its mixture over
+    ``dist``.  Each weight vector the solver visits carries its mixture over
     the atoms, ``rows @ theta`` read at each atom's point: one product
-    serves both its risk and its gradient.  Acceleration is dropped after an initial phase: the momentum steps
-    make early progress but oscillate near the optimum, while plain
-    backtracked projected-gradient steps are monotone and let the vertex
-    gap settle below the certification tolerance.  For the hinge loss the
-    gradient is the subgradient with slope 1 at a zero margin: the steps
-    are then only a heuristic, and the vertex gap alone decides success.
-    Returns ``(theta, gap)`` once ``gap <= tol``, else raises
-    ``ConvergenceError`` with the last iterate, its risk and its own gap.
-    ``theta`` only moves to a candidate of no larger risk, so the last
-    iterate has the lowest risk any reached.
+    serves both its risk and its gradient.  A candidate of larger risk than
+    the iterate is rejected and the momentum restarts at the iterate, so
+    ``theta`` only moves to a candidate of no larger risk.  For the hinge
+    loss the gradient is the subgradient with slope 1 at a zero margin.
+    Returns ``(theta, gap)`` once the vertex gap is at most ``tol``, else
+    raises ``ConvergenceError`` with the last iterate, its risk and its gap.
     """
     ys, ps = dist.ys, dist.ps
     point_of_atom = dist.design_points[0]
@@ -447,37 +436,31 @@ def _minimize(rows, kind, dist, tol, max_iter):
             weights = ps * grad_coef(kind, ys, mix)
         return rows.T @ np.bincount(point_of_atom, weights=weights, minlength=rows.shape[0])
 
-    accel_phase = min(2000, max_iter)
     theta = uniform_weights(rows.shape[1])
     theta_mix = mixture(theta)
-    momentum = theta.copy()
+    momentum, momentum_mix = theta, theta_mix
     t_acc = 1.0
     lips = 1.0
     f_theta = risk(theta_mix)
     for it in range(max_iter):
-        accelerated = it < accel_phase
-        point, point_mix = (momentum, mixture(momentum)) if accelerated else (theta, theta_mix)
-        g_y = grad(point_mix)
-        f_y = risk(point_mix)
+        g_y = grad(momentum_mix)
+        f_y = risk(momentum_mix)
         while True:
-            cand = _project_simplex(point - g_y / lips)
+            cand = _project_simplex(momentum - g_y / lips)
             cand_mix = mixture(cand)
-            diff = cand - point
+            diff = cand - momentum
             quad = f_y + float(g_y @ diff) + 0.5 * lips * float(diff @ diff)
             f_cand = risk(cand_mix)
             if f_cand <= quad + 1e-15 or lips > 1e18:
                 break
             lips *= 2.0
-        if accelerated:
-            if f_cand > f_theta:
-                momentum = theta.copy()
-                t_acc = 1.0
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-                momentum = _project_simplex(cand + ((t_acc - 1.0) / t_next) * (cand - theta))
-                t_acc = t_next
-                theta, theta_mix, f_theta = cand, cand_mix, f_cand
-        elif f_cand <= f_theta:
+        if f_cand > f_theta:
+            momentum, momentum_mix, t_acc = theta, theta_mix, 1.0
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+            momentum = _project_simplex(cand + ((t_acc - 1.0) / t_next) * (cand - theta))
+            momentum_mix = mixture(momentum)
+            t_acc = t_next
             theta, theta_mix, f_theta = cand, cand_mix, f_cand
         g_theta = grad(theta_mix)
         gap = float(theta @ g_theta - g_theta.min())

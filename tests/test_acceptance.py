@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from mirroragg import (
 from mirroragg.cli import rows_to_csv
 from mirroragg.losses import loss_values
 from mirroragg.oracles import atom_design
+from platform_key import platform_key
 
 SQUARED = LossSpec("squared", y_bound=1.0)
 EXPONENTIAL = LossSpec("phi_exponential")
@@ -59,6 +61,7 @@ BENCHMARK = ExperimentConfig(
 )
 
 GOLDEN_RESULTS = Path(__file__).parent / "data" / "acceptance_results.csv"
+GOLDEN_PLATFORM = Path(__file__).parent / "data" / "acceptance_platform.json"
 NUMERIC_FIELDS = ("mean_excess", "stderr", "oracle_value", "bound_value")
 
 PARALLEL_CONFIG = """\
@@ -104,11 +107,20 @@ def classification_instance(key, m, k, scale=1.0):
 def test_benchmark_rows_match_golden_results(benchmark_rows):
     """The benchmark grid reproduces the checked-in ``results.csv``.
 
-    Numeric fields agree to a relative 1e-12 (libm and BLAS may move the
-    last digits between machines); every other field agrees exactly.
+    On the platform the golden rows were written on (numpy version and SIMD
+    targets, OpenBLAS version and runtime core) they are the same bytes.
+    Elsewhere numeric fields agree to a relative 1e-12 (libm, SIMD and BLAS
+    kernels may move the last digits) and every other field agrees exactly.
     """
-    golden = list(csv.DictReader(GOLDEN_RESULTS.read_text().splitlines()[1:]))
-    produced = list(csv.DictReader(rows_to_csv(benchmark_rows, "").splitlines()[1:]))
+    golden_lines = GOLDEN_RESULTS.read_text().splitlines()[1:]
+    produced_lines = rows_to_csv(benchmark_rows, "").splitlines()[1:]
+    recorded, here = json.loads(GOLDEN_PLATFORM.read_text()), platform_key()
+    if here == recorded:
+        assert produced_lines == golden_lines
+        return
+    warnings.warn(f"golden rows written on {recorded}, running on {here}: compared at relative 1e-12")
+    golden = list(csv.DictReader(golden_lines))
+    produced = list(csv.DictReader(produced_lines))
     assert len(produced) == len(golden) == 36
     for got, want in zip(produced, golden):
         for field, expected in want.items():
