@@ -4,10 +4,15 @@
 per distinct observation and hand the kernels an index row into that
 table.  These tests pin that the folded form gives the same weights, bit
 for bit, as the kernels fed one table row per observation, and that the
-runs reject every label a distribution would reject.
+runs reject every label a distribution would reject, and they pin the
+bytes of the runs' outputs on fixed samples.
 """
 
+import hashlib
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +32,11 @@ from mirroragg import (
 )
 from mirroragg.aggregation import erm_totals, lma_weights, ma_weights
 from mirroragg.losses import DIFFERENTIABLE_KINDS, LOSS_KINDS
+from platform_key import platform_key
 
 BETA = 0.7
 SCHEDULE = Schedule.sqrt_growth(0.9)
+PINS = Path(__file__).parent / "data" / "public_run_pins.json"
 
 
 class CountingDictionary(CallableDictionary):
@@ -204,3 +211,48 @@ def test_squared_labels_on_the_declared_bound_are_accepted():
     theta, _ = lma_run(data, spec, dictionary, BETA)
     assert np.isfinite(theta).all()
     assert loss_value(spec, data[0], 0.5) == 2.25
+
+
+def pinned_runs() -> dict:
+    """Each public run's output on a fixed sample as a float64 array, keyed ``"run kind dictionary"``.
+
+    The samples and the table come from ``Generator.random`` alone, so they
+    are the same on every platform.  ERM's output is ``[index, value]``.
+    """
+    m, k, n = 12, 9, 300
+    rng = np.random.default_rng(2701)
+    table = 2.0 * rng.random((m, k)) - 1.0
+    xs = (rng.random(n) * k).astype(int).tolist()
+    coins = rng.random(n)
+    outputs = {}
+    for kind in LOSS_KINDS:
+        ys = np.where(coins < 0.5, -0.5, 0.75) if kind == "squared" else np.where(coins < 0.5, -1.0, 1.0)
+        data = [LabeledSample(x, float(y)) for x, y in zip(xs, ys)]
+        spec = LossSpec(kind)
+        for name, dictionary in (("tabular", TabularDictionary(table)), ("callable", CountingDictionary(table))):
+            runs = public_runs(data, spec, dictionary)
+            runs["erm"] = np.array(runs["erm"], dtype=float)
+            for run, output in runs.items():
+                outputs[f"{run} {kind} {name}"] = np.asarray(output, dtype="<f8")
+    return outputs
+
+
+def test_public_runs_match_their_pinned_bytes():
+    """``ma_run``/``lma_run`` weights and ``erm_select``'s ``(index, value)`` on fixed samples.
+
+    On the platform the pins were written on (``tests/platform_key.py``)
+    each output hashes to its pinned sha256.  Elsewhere numpy's SIMD loops
+    may move last digits, so outputs agree with the pinned values to a
+    relative 1e-12.
+    """
+    pins = json.loads(PINS.read_text())
+    got = pinned_runs()
+    assert got.keys() == pins["runs"].keys()
+    here = platform_key()
+    if here == pins["platform"]:
+        for key, output in got.items():
+            assert hashlib.sha256(output.tobytes()).hexdigest() == pins["runs"][key]["sha256"], key
+        return
+    warnings.warn(f"public-run pins written on {pins['platform']}, running on {here}: compared at relative 1e-12")
+    for key, output in got.items():
+        np.testing.assert_allclose(output, pins["runs"][key]["values"], rtol=1e-12, atol=0.0, err_msg=key)
