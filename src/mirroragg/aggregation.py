@@ -65,20 +65,27 @@ relative; within it, longer periods measured faster on the acceptance
 grid (no re-anchor at all for its n <= 2048) and no less accurate against
 an extended-precision fold.
 
-Layout of the ``(R, M)`` kernel state.  Every MA/LMA step reduces over
-the arms of each replicate (the row min and normaliser of the softmin,
-LMA's renormalising sum and MA's mixture value).  Along a short
-contiguous arm axis numpy pays its per-row overhead on every one of the
-R rows.  So when replicates outnumber arms (R > M) ``ma_weights`` and
-``lma_weights`` keep their state arm-major (column-major) and gather
-from an arm-major copy of the table: each reduction is then M
-elementwise passes over R contiguous values.  With R <= M (the public
-runs at R = 1, wide dictionaries) the state stays row-major.  The kernel
-body is the same either way; only the memory order differs.  The row min
-is exact in any order, and sums over two arms are too, so M = 2 results
-do not depend on the layout; for M >= 3 arm-major sums run sequentially
-instead of numpy's pairwise order, which moves the last bit of some
-weights.  Both kernels return row-major weights.
+Layout of the kernel state.  Every MA/LMA step reduces over the arms of
+each replicate (the row min and normaliser of the softmin, LMA's
+renormalising sum and MA's mixture value).  Along a short contiguous arm
+axis numpy pays its per-row overhead on every one of the R rows.  So
+when replicates outnumber arms (R > M) ``ma_weights`` and
+``lma_weights`` keep their ``(R, M)`` state arm-major (column-major) and
+gather from an arm-major copy of the table: each reduction is then M
+elementwise passes over R contiguous values.  With 1 < R <= M (wide
+dictionaries) the state stays row-major.  A single replicate (the public
+runs) folds on one ``(M,)`` vector: its steps are Python ints, a gather
+is a row view of the table, labels are Python floats and the per-arm
+reductions are scalars, so a step makes no ``take`` and no ``(1, 1)``
+array.  The kernel body is the same in all three layouts; only the
+state's shape and memory order differ (``_arm_layout``).  The row min is
+exact in any order, and a contiguous vector reduces by the same pairwise
+sums as a row of the row-major state, so one replicate's weights are its
+row of a row-major batch, bit for bit.  Sums over two arms are exact in
+any order too, so M = 2 results do not depend on the layout; for M >= 3
+arm-major sums run sequentially instead of numpy's pairwise order, which
+moves the last bit of some weights.  Every kernel returns row-major
+``(R, M)`` arrays.
 """
 
 from __future__ import annotations
@@ -238,29 +245,41 @@ def averaged_weights(state: AggregatorState) -> np.ndarray:
     return renormalize(state.weighted_sum)
 
 
-def _arm_layout(reps: int, table: np.ndarray):
-    """Memory order of the ``(R, M)`` kernel state, and a gather of table rows in that order.
+def _arm_layout(idx, m: float):
+    """The kernel state's layout for the replicates ``idx`` over ``m`` arms (see the module docstring).
 
-    Arm-major when replicates outnumber arms, row-major otherwise (see
-    the module docstring).
+    Returns ``(order, steps, rows, column)``: the layout, ``"vector"`` for
+    one replicate or else the memory order ``"F"`` or ``"C"`` of the
+    ``(R, M)`` state; the atoms each step draws; ``rows(table)``, a gather
+    of table rows in that layout; and ``column(values)``, a gather of one
+    per-atom value for each replicate.
     """
-    if reps > table.shape[1]:
+    if idx.shape[0] == 1:
+        return "vector", idx[0].tolist(), lambda table: list(table).__getitem__, lambda v: v.tolist().__getitem__
+    order = "F" if idx.shape[0] > m else "C"
+
+    def rows(table):
+        if order == "C":
+            return lambda a: table.take(a, axis=0)
         by_arm = np.ascontiguousarray(table.T)
-        return "F", lambda a: by_arm.take(a, axis=1).T
-    return "C", lambda a: table.take(a, axis=0)
+        return lambda a: by_arm.take(a, axis=1).T
+
+    return order, idx.T, rows, lambda v: lambda a: v.take(a)[:, None]
 
 
 def _aligned_state(count: int, reps: int, m: int, order: str) -> list:
-    """``count`` zeroed ``(reps, m)`` arrays of memory order ``order``, each starting on a 64-byte boundary.
+    """``count`` zeroed states of layout ``order``, each starting on a 64-byte boundary.
 
-    They are carved from one allocation: numpy aligns its own to 16 bytes
-    only, and MA's step measured about 6% slower with its state 16, 32 or
-    48 bytes off a 64-byte line.
+    A state is ``(m,)`` in the ``"vector"`` layout and ``(reps, m)`` in
+    memory order ``order`` otherwise.  They are carved from one allocation:
+    numpy aligns its own to 16 bytes only, and MA's step measured about 6%
+    slower with its state 16, 32 or 48 bytes off a 64-byte line.
     """
     stride = -(-reps * m // 8) * 8  # whole 64-byte lines of float64
     raw = np.zeros(count * stride + 7)
     first = -raw.ctypes.data % 64 // 8
-    return [raw[first + k * stride :][: reps * m].reshape((reps, m), order=order) for k in range(count)]
+    shape = (m,) if order == "vector" else (reps, m)
+    return [raw[first + k * stride :][: reps * m].reshape(shape, order="F" if order == "F" else "C") for k in range(count)]
 
 
 def ma_weights(idx, design, ys, kind: str, betas, checkpoints) -> list:
@@ -271,24 +290,22 @@ def ma_weights(idx, design, ys, kind: str, betas, checkpoints) -> list:
     ``betas[t]`` at step ``t + 1``.  ``checkpoints`` are increasing step
     counts, the last one the width of ``idx`` (see the module docstring).
     """
-    reps = idx.shape[0]
-    m = design.shape[1]
-    order, gather = _arm_layout(reps, design)
+    reps, m = idx.shape[0], design.shape[1]
+    order, steps, rows, column = _arm_layout(idx, m)
+    gather, label, keep = rows(design), column(ys), order != "vector"
     scores, mirrored, total, work = _aligned_state(4, reps, m, order)
     mirrored.fill(1.0 / m)
     averaged = []
-    start = 0
-    for stop in checkpoints:
+    for start, stop in zip((0, *checkpoints), checkpoints):
         for t in range(start, stop):
-            a = idx[:, t]
+            a = steps[t]
             f = gather(a)
-            mix = np.multiply(mirrored, f, out=work).sum(axis=1, keepdims=True)
-            coef = grad_coef(kind, ys.take(a)[:, None], mix)
+            mix = np.add.reduce(np.multiply(mirrored, f, out=work), axis=-1, keepdims=keep)
+            coef = grad_coef(kind, label(a), mix)
             total += mirrored
             scores += np.multiply(coef, f, out=work)
             softmin(np.divide(scores, betas[t], out=mirrored), out=mirrored)
-        averaged.append(np.ascontiguousarray(total / stop))
-        start = stop
+        averaged.append(np.ascontiguousarray(total / stop).reshape(reps, m))
     return averaged
 
 
@@ -309,36 +326,34 @@ def lma_weights(idx, losses, beta: float, checkpoints) -> list:
     folds the atoms ``idx[r]`` in order at constant temperature ``beta``.
     ``checkpoints`` as for ``ma_weights``.
     """
-    reps = idx.shape[0]
-    m = losses.shape[1]
-    order, gather = _arm_layout(reps, losses)
+    reps, m = idx.shape[0], losses.shape[1]
+    order, steps, rows, column = _arm_layout(idx, m)
     rowmin = losses.min(axis=1)
     # the Gibbs factor table exp((rowmin L - L) / beta), built in place
     factors = np.subtract(rowmin[:, None], losses)
     period = _reanchor_period(-float(factors.min()), beta)
     factors /= beta
     np.exp(factors, out=factors)
-    gather_factors = _arm_layout(reps, factors)[1]
-    scores = np.zeros((reps, m), order=order)
-    mirrored = np.full((reps, m), 1.0 / m, order=order)
-    total = mirrored.copy(order=order)
+    gather, gather_factors, anchor, keep = rows(losses), rows(factors), column(rowmin), order != "vector"
+    scores, mirrored, total = _aligned_state(3, reps, m, order)
+    mirrored.fill(1.0 / m)
+    total += mirrored
     averaged = []
-    start = 1
-    for stop in checkpoints:
+    # the uniform weights before the first step are already in the total
+    for start, stop in zip((1, *checkpoints), checkpoints):
         for t in range(start, stop):
             if t % period:
-                mirrored *= gather_factors(idx[:, t - 1])
-                mirrored /= mirrored.sum(axis=1, keepdims=True)
+                mirrored *= gather_factors(steps[t - 1])
+                mirrored /= np.add.reduce(mirrored, axis=-1, keepdims=keep)
             else:
                 # the last block's rows less their minima, in step order, and each
                 # score row less its own minimum, then one exact softmin
                 for s in range(t - period, t):
-                    scores += gather(idx[:, s]) - rowmin.take(idx[:, s])[:, None]
-                scores -= scores.min(axis=1, keepdims=True)
+                    scores += gather(steps[s]) - anchor(steps[s])
+                scores -= np.minimum.reduce(scores, axis=-1, keepdims=keep)
                 softmin(np.divide(scores, beta, out=mirrored), out=mirrored)
             total += mirrored
-        averaged.append(np.ascontiguousarray(total / stop))
-        start = stop
+        averaged.append(np.ascontiguousarray(total / stop).reshape(reps, m))
     return averaged
 
 
@@ -348,14 +363,16 @@ def erm_totals(idx, losses, checkpoints) -> list:
     ``checkpoints`` as for ``ma_weights``.  The empirical risk minimizer of
     replicate ``r`` is the row's argmin (ties to the lowest index).
     """
-    totals = np.zeros((idx.shape[0], losses.shape[1]))
+    reps, m = idx.shape[0], losses.shape[1]
+    # sums reduce nothing across arms, so past one replicate the totals stay row-major
+    order, steps, rows, _ = _arm_layout(idx, math.inf)
+    gather = rows(losses)
+    [totals] = _aligned_state(1, reps, m, order)
     sums = []
-    start = 0
-    for stop in checkpoints:
+    for start, stop in zip((0, *checkpoints), checkpoints):
         for t in range(start, stop):
-            totals += losses.take(idx[:, t], axis=0)
-        sums.append(totals.copy())
-        start = stop
+            totals += gather(steps[t])
+        sums.append(totals.reshape(reps, m).copy())
     return sums
 
 

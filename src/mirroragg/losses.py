@@ -171,10 +171,9 @@ def grad_coef(kind: str, y, f):
     """Derivative of the loss in its prediction argument, evaluated at ``f``.
 
     The simplex gradient of ``Q(z, f_theta)`` is this coefficient at
-    ``f = f_theta(x)`` times the dictionary value vector at ``x``.
+    ``f = f_theta(x)`` times the dictionary value vector at ``x``.  ``y``
+    and ``f`` are floats or float arrays; they are used as given.
     """
-    y = np.asarray(y, dtype=float)
-    f = np.asarray(f, dtype=float)
     if kind == SQUARED:
         return -2.0 * (y - f)
     if kind == PHI_EXPONENTIAL:

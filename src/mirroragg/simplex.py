@@ -123,10 +123,11 @@ def softmin(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     order works: when ``z`` is column-major the row min and row sum run as
     elementwise passes over the rows, one column at a time.
     """
+    keep = z.ndim > 1  # a vector's min and sum are scalars
     # min - z is exactly -(z - min): IEEE subtraction rounds symmetrically
-    w = np.subtract(z.min(axis=-1, keepdims=True), z, out=out)
+    w = np.subtract(np.minimum.reduce(z, axis=-1, keepdims=keep), z, out=out)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=keep)
     return w
 
 

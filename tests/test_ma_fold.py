@@ -20,6 +20,9 @@ factor step rounds each weight (at most 1) by about ``eps``.
 long-double sums, entry by entry: each of the ``n`` additions rounds a
 partial sum no larger than that by at most ``eps / 2`` of it.  Both
 constants are 1, fixed before the first run.
+
+A single replicate folds on one state vector, and each kernel must give
+it the same bytes as its row in a row-major batch.
 """
 
 import math
@@ -29,6 +32,7 @@ import pytest
 
 from mirroragg import Schedule, aggregation
 from mirroragg.aggregation import _arm_layout, erm_totals, lma_weights, ma_weights
+from mirroragg.losses import loss_values
 
 LD = np.longdouble
 EPS = np.finfo(float).eps
@@ -85,6 +89,11 @@ CASES = [
 ]
 
 
+def expected_layout(reps, m):
+    """The kernels' state layout: one vector for one replicate, then arm-major when replicates outnumber arms."""
+    return "vector" if reps == 1 else "F" if reps > m else "C"
+
+
 @pytest.mark.parametrize("reps, m", [(256, 32), (1000, 2), (3, 5), (1, 7), (1, 1)])
 def test_ma_state_starts_on_64_byte_boundaries_in_the_kernels_layout(monkeypatch, reps, m):
     carved, carve = [], aggregation._aligned_state
@@ -96,13 +105,60 @@ def test_ma_state_starts_on_64_byte_boundaries_in_the_kernels_layout(monkeypatch
     monkeypatch.setattr(aggregation, "_aligned_state", spy)
     rng = np.random.default_rng(reps * m)
     design, ys = random_table(rng, "squared", 4, m)
-    ma_weights(rng.integers(0, 4, (reps, 3)), design, ys, "squared", np.ones(3), (3,))
-    order = _arm_layout(reps, design)[0]
+    idx = rng.integers(0, 4, (reps, 3))
+    ma_weights(idx, design, ys, "squared", np.ones(3), (3,))
+    order = _arm_layout(idx, m)[0]
+    assert order == expected_layout(reps, m)
     assert len(carved) == 4
     for state in carved:
-        assert state.shape == (reps, m) and state.flags[f"{order}_CONTIGUOUS"]
+        if order == "vector":
+            assert state.shape == (m,) and state.flags.c_contiguous
+        else:
+            assert state.shape == (reps, m) and state.flags[f"{order}_CONTIGUOUS"]
         assert state.ctypes.data % 64 == 0
     assert len({state.base.ctypes.data for state in carved}) == 1
+
+
+ROW_CASES = [
+    # (kind, atoms, arms, n, replicates, seed): replicates <= arms is the row-major layout
+    ("squared", 7, 3, 200, 3, 31),
+    ("squared", 16, 12, 300, 5, 32),
+    ("phi_exponential", 9, 40, 200, 7, 33),
+    ("phi_logit2", 12, 150, 100, 2, 34),
+    ("phi_hinge", 16, 12, 300, 5, 35),
+]
+
+
+@pytest.mark.parametrize("kind, atoms, m, n, reps, seed", ROW_CASES)
+def test_one_replicate_folds_to_the_bits_of_its_row_in_a_row_major_batch(kind, atoms, m, n, reps, seed):
+    """The vector layout (R = 1) against the same indices as one row of a row-major batch (2 <= R <= M).
+
+    A contiguous row reduces by the same pairwise sums as the vector, so
+    every kernel's output must be the same bytes.  LMA runs at a
+    temperature whose re-anchor period is shorter than ``n``.
+    """
+    rng = np.random.default_rng(seed)
+    design, ys = random_table(rng, kind, atoms, m)
+    losses = loss_values(kind, ys[:, None], design)
+    batch = rng.integers(0, atoms, (reps, n))
+    row = batch[reps // 2 :][:1]
+    assert _arm_layout(row, m)[0] == "vector" and _arm_layout(batch, m)[0] == "C"
+    checkpoints = (n // 3, n)
+    beta = 0.2
+    period = aggregation._reanchor_period(float((losses.max(axis=1) - losses.min(axis=1)).max()), beta)
+    assert period < n
+    runs = [
+        lambda idx: lma_weights(idx, losses, beta, checkpoints),
+        lambda idx: lma_weights(idx, losses, 1.0, checkpoints),
+        lambda idx: erm_totals(idx, losses, checkpoints),
+    ]
+    if kind in COEF_BOUND:
+        betas = Schedule.sqrt_growth(0.3).betas(n)
+        runs.append(lambda idx: ma_weights(idx, design, ys, kind, betas, checkpoints))
+    for run in runs:
+        for alone, among in zip(run(row), run(batch)):
+            assert alone.shape == (1, m)
+            np.testing.assert_array_equal(alone[0], among[reps // 2])
 
 
 @pytest.mark.parametrize("kind, atoms, m, n, reps, seed", CASES)
@@ -112,7 +168,7 @@ def test_ma_weights_within_the_rounding_budget_of_the_long_double_fold(kind, ato
     beta0 = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
     betas = Schedule.sqrt_growth(beta0).betas(n)
     idx = rng.integers(0, atoms, (reps, n))
-    assert _arm_layout(reps, design)[0] == ("F" if reps > m else "C")
+    assert _arm_layout(idx, m)[0] == expected_layout(reps, m)
     [got] = ma_weights(idx, design, ys, kind, betas, (n,))
     budget = n * EPS * COEF_BOUND[kind] / beta0
     assert np.abs(got - longdouble_ma_fold(idx, design, ys, kind, betas)).max() <= budget
