@@ -65,6 +65,9 @@ _BLOCK_ENTRIES = 1 << 15
 # ``design @ block.T`` of this many vectors (see ``mixture_risks``).
 _MIXTURE_WIDTH = 32
 
+# ``_minimize``'s curvature estimate shrinks by this factor before each iteration
+_STEP_RELAX = 0.7
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -412,10 +415,18 @@ def _minimize(rows, kind, dist, tol, max_iter):
     ``rows[g, j]`` is function ``j``'s value at design point ``g`` of
     ``dist``.  Each weight vector the solver visits carries its mixture over
     the atoms, ``rows @ theta`` read at each atom's point: one product
-    serves both its risk and its gradient.  A candidate of larger risk than
-    the iterate is rejected and the momentum restarts at the iterate, so
-    ``theta`` only moves to a candidate of no larger risk.  For the hinge
-    loss the gradient is the subgradient with slope 1 at a zero margin.
+    serves both its risk and its gradient.  The curvature estimate ``lips``
+    (step ``1 / lips``) shrinks by ``_STEP_RELAX`` before every iteration
+    but the first and doubles until the quadratic bound holds, so the step
+    lengthens as well as shortens (Scheinberg, Goldfarb & Bai, Found.
+    Comput. Math. 2014).  A candidate of larger risk than the iterate is
+    rejected and the momentum restarts at the iterate, so ``theta`` only
+    moves to a candidate of no larger risk; the restarted step reuses the
+    iterate's risk and gradient.  A rejected step taken from the iterate
+    itself rose only within the bound's slack, so it also doubles ``lips``:
+    without that the relaxation can repeat it, restart after restart.  The
+    momentum is projected onto the simplex.  For the hinge loss the
+    gradient is the subgradient with slope 1 at a zero margin.
     Returns ``(theta, gap)`` once the vertex gap is at most ``tol``, else
     raises ``ConvergenceError`` with the last iterate, its risk and its gap.
     """
@@ -441,10 +452,14 @@ def _minimize(rows, kind, dist, tol, max_iter):
     momentum, momentum_mix = theta, theta_mix
     t_acc = 1.0
     lips = 1.0
-    f_theta = risk(theta_mix)
+    f_theta, g_theta = risk(theta_mix), grad(theta_mix)
     for it in range(max_iter):
-        g_y = grad(momentum_mix)
-        f_y = risk(momentum_mix)
+        if it:
+            lips *= _STEP_RELAX
+        if momentum is theta:
+            g_y, f_y = g_theta, f_theta
+        else:
+            g_y, f_y = grad(momentum_mix), risk(momentum_mix)
         while True:
             cand = _project_simplex(momentum - g_y / lips)
             cand_mix = mixture(cand)
@@ -455,6 +470,8 @@ def _minimize(rows, kind, dist, tol, max_iter):
                 break
             lips *= 2.0
         if f_cand > f_theta:
+            if momentum is theta:
+                lips *= 2.0
             momentum, momentum_mix, t_acc = theta, theta_mix, 1.0
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
@@ -462,13 +479,10 @@ def _minimize(rows, kind, dist, tol, max_iter):
             momentum_mix = mixture(momentum)
             t_acc = t_next
             theta, theta_mix, f_theta = cand, cand_mix, f_cand
-        g_theta = grad(theta_mix)
+            g_theta = grad(theta_mix)
         gap = float(theta @ g_theta - g_theta.min())
         if gap <= tol:
             return theta, gap
-        if it % 50 == 49:
-            # let oversized curvature estimates relax between backtracks
-            lips = max(lips * 0.5, 1e-12)
     raise ConvergenceError(
         f"convex oracle failed to certify gap <= {tol:g} within {max_iter} iterations "
         f"(gap {gap:g} at the last iterate)",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -669,17 +670,38 @@ class TestColumnRisks:
 
 
 class CountingDesign:
-    """A table of point rows that keeps the weight vector of each ``rows @ theta`` product; ``rows.T`` stays a plain array."""
+    """A table that keeps the vector of each ``table @ vector`` product; its ``T`` does the same for the transposed products."""
 
-    def __init__(self, array):
+    def __init__(self, array, transpose=None):
         self.array = array
-        self.T = array.T
         self.shape = array.shape
         self.points = []
+        self.T = transpose or CountingDesign(array.T, self)
 
     def __matmul__(self, theta):
         self.points.append(theta)
         return self.array @ theta
+
+
+def step_rule_sweep():
+    """The 600 random tables ``(kind, rows, dist)`` of the step-rule sweep, one atom per point."""
+    rng = np.random.default_rng(2026)
+    for i in range(600):
+        kind = ("squared", "phi_exponential", "phi_logit2", "phi_hinge")[i % 4]
+        m, k = int(rng.integers(2, 65)), int(rng.integers(1, 65))
+        bound = 1.5 if i % 8 == 3 else 1.0
+        values = rng.uniform(-bound, bound, (m, k))
+        ys = rng.uniform(-1.0, 1.0, k) if kind == "squared" else rng.choice((-1.0, 1.0), k)
+        ps = rng.dirichlet(np.ones(k))
+        yield kind, values.T, FiniteDistribution([atom(x, float(y), float(p)) for x, (y, p) in enumerate(zip(ys, ps))])
+
+
+# products of a certified solve of step_rule_sweep's table, under the step rule
+# that only halved the curvature estimate every 50 iterations: relaxing it by
+# 0.5 every iteration stalled 385 and 464 in restarts, and 0.7 without the
+# restart guard took 244 from 26 to 67-139 iterations (164-273 products), by
+# OpenBLAS core
+SWEEP_PRODUCTS = {244: 102, 385: 79, 464: 72}
 
 
 class TestSolverMixtures:
@@ -713,6 +735,24 @@ class TestSolverMixtures:
             weights = ps * grad_coef(kind, ys, mix)
         g = rows.T @ np.bincount(point_of_atom, weights=weights, minlength=len(rows))
         assert gap == float(theta @ g - g.min())
+
+    @pytest.mark.parametrize("seed", [424243, 7, 11])
+    def test_a_wide_logit_solve_certifies_within_140_products(self, seed):
+        """perfbench's wide table at M = 256; a step that only shortened (halved every 50 iterations) took 222-258 products."""
+        dist, dictionary = generate_instance(GeneratorSpec("phi_classification", grid_size=256), 256, seed)
+        design = oracles.atom_design(dictionary, LossSpec("phi_logit2"), dist)
+        counting = CountingDesign(design.take(dist.design_points[1], axis=0))
+        _, gap = oracles._minimize(counting, "phi_logit2", dist, tol=1e-8, max_iter=1_000_000)
+        assert gap <= 1e-8
+        assert len(counting.points) + len(counting.T.points) <= 140
+
+    @pytest.mark.parametrize("index", sorted(SWEEP_PRODUCTS))
+    def test_sweep_tables_certify_within_one_and_a_half_times_the_products_of_the_shrinking_step(self, index):
+        kind, rows, dist = next(itertools.islice(step_rule_sweep(), index, None))
+        counting = CountingDesign(rows)
+        _, gap = oracles._minimize(counting, kind, dist, tol=1e-8, max_iter=5000)
+        assert gap <= 1e-8
+        assert len(counting.points) + len(counting.T.points) <= 1.5 * SWEEP_PRODUCTS[index]
 
 
 # the eight family x loss configs of BENCH_17.json's byte-identity checks: grid
@@ -794,9 +834,9 @@ PAIRED_IDS = [genspec.family for genspec, _ in PAIRED_FAMILIES]
 # (risk_value, gap_certificate) of TestPointTables' pinned solve, per OpenBLAS
 # runtime core, each measured with OPENBLAS_CORETYPE forcing the core
 SOLVE_PINS = {
-    "SkylakeX": ("0x1.dd1398ccb0c3ap-3", "0x1.4e6625b000000p-27"),
-    "Haswell": ("0x1.dd1398ccb0c3bp-3", "0x1.4e66259400000p-27"),
-    "Sandybridge": ("0x1.dd1398ccb0c3bp-3", "0x1.4e66258c00000p-27"),
+    "SkylakeX": ("0x1.dd1398ccb0c35p-3", "0x1.3809dfbc00000p-27"),
+    "Haswell": ("0x1.dd1398ccb0c35p-3", "0x1.3809dfd400000p-27"),
+    "Sandybridge": ("0x1.dd1398ccb0c35p-3", "0x1.3809dfb400000p-27"),
 }
 
 
@@ -853,7 +893,7 @@ class TestPointTables:
         assert_allclose(gradient, design.T @ weights, rtol=1e-13, atol=1e-16)
 
     def test_a_solve_at_one_atom_per_point_keeps_the_value_of_the_atom_table_solver(self):
-        """Pinned from the solver that read one row per atom (OpenBLAS 0.3.31); at one atom per point the products are the same.
+        """Pinned from the per-point solver (OpenBLAS 0.3.31); at one atom per point its products are the atom table's.
 
         The solver's BLAS products round per kernel set, so the value and
         gap are pinned per OpenBLAS runtime core; on any other core the
