@@ -48,8 +48,8 @@ print()
 
 lma_fit = fit_rate_slope([r for r in rows if r.algorithm == "LMA" and r.m == 8])
 ma_fit = fit_rate_slope([r for r in rows if r.algorithm == "MA" and r.m == 32])
-print(f"log-log slope, linearized vs best arm (M=8):   {lma_fit.slope:+.3f} +- {lma_fit.stderr:.3f}")
-print(f"log-log slope, gradient vs convex hull (M=32): {ma_fit.slope:+.3f} +- {ma_fit.stderr:.3f}")
+print(f"log-log slope, linearized vs best arm (M=8):   {lma_fit.slope:+.3f}")
+print(f"log-log slope, gradient vs convex hull (M=32): {ma_fit.slope:+.3f}")
 print()
 
 # reference envelopes at the same sizes, for scale

@@ -386,7 +386,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit code 1
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -286,7 +286,6 @@ class ResultRow:
 
 class RateFit(NamedTuple):
     slope: float
-    stderr: float
     intercept: float
 
 
@@ -426,11 +425,7 @@ def fit_rate_slope(rows: Sequence[ResultRow]) -> RateFit:
 
     Rows with nonpositive mean excess carry no information on a log scale;
     they are excluded with a warning.  At least four distinct usable
-    sample sizes are required.  The rows of one dictionary size come
-    from nested samples (see the module docstring), so their errors are
-    correlated: the slope stays a fair summary, but ``stderr``, the OLS
-    standard error from the residuals, no longer measures its sampling
-    error.
+    sample sizes are required.
     """
     usable = [(row.n, row.mean_excess) for row in rows if row.mean_excess > 0.0]
     dropped = sorted(row.n for row in rows if row.mean_excess <= 0.0)
@@ -446,10 +441,7 @@ def fit_rate_slope(rows: Sequence[ResultRow]) -> RateFit:
     x_centered = x - x.mean()
     slope = float((x_centered @ (y - y.mean())) / (x_centered @ x_centered))
     intercept = float(y.mean() - slope * x.mean())
-    residuals = y - (intercept + slope * x)
-    dof = len(ns) - 2
-    stderr = float(math.sqrt((residuals @ residuals) / dof / (x_centered @ x_centered)))
-    return RateFit(slope=slope, stderr=stderr, intercept=intercept)
+    return RateFit(slope=slope, intercept=intercept)
 
 
 def verify_bound(rows: Sequence[ResultRow], bound: str) -> BoundCheck:

@@ -429,6 +429,8 @@ def _minimize(rows, kind, dist, tol, max_iter):
     gradient is the subgradient with slope 1 at a zero margin.
     Returns ``(theta, gap)`` once the vertex gap is at most ``tol``, else
     raises ``ConvergenceError`` with the last iterate, its risk and its gap.
+    The exact vertex gap is never negative, so a returned gap that rounding
+    took below 0 is reported as 0.
     """
     ys, ps = dist.ys, dist.ps
     point_of_atom = dist.design_points[0]
@@ -482,7 +484,7 @@ def _minimize(rows, kind, dist, tol, max_iter):
             g_theta = grad(theta_mix)
         gap = float(theta @ g_theta - g_theta.min())
         if gap <= tol:
-            return theta, gap
+            return theta, max(gap, 0.0)
     raise ConvergenceError(
         f"convex oracle failed to certify gap <= {tol:g} within {max_iter} iterations "
         f"(gap {gap:g} at the last iterate)",

@@ -5,9 +5,13 @@ the next, so an exact pin holds only on the platform it was measured on.
 ``openblas_core`` names the OpenBLAS kernel set chosen at run time (the
 build string may name another), and ``platform_key`` adds the numpy
 version, the numpy SIMD targets enabled and the OpenBLAS version.
+``assert_rows_match`` compares result rows with rows pinned under a key.
 """
 
+import csv
 import ctypes
+import math
+import warnings
 
 import numpy as np
 
@@ -48,3 +52,27 @@ def platform_key() -> dict:
         "openblas": " ".join(config.split()[:2]) if config else None,
         "openblas_core": openblas_core(),
     }
+
+
+NUMERIC_FIELDS = ("mean_excess", "stderr", "oracle_value", "bound_value")
+
+
+def assert_rows_match(produced: list, pinned: list, recorded: dict, what: str) -> None:
+    """``results.csv`` lines, header first, against ``pinned`` lines written on platform ``recorded``.
+
+    On that platform they are the same bytes.  Elsewhere numeric fields
+    agree to a relative 1e-12 (libm, SIMD and BLAS kernels may move the
+    last digits) and every other field agrees exactly.
+    """
+    here = platform_key()
+    if here == recorded:
+        assert produced == pinned
+        return
+    warnings.warn(f"{what} written on {recorded}, running on {here}: compared at relative 1e-12")
+    assert len(produced) == len(pinned)
+    for got, want in zip(csv.DictReader(produced), csv.DictReader(pinned)):
+        for field, expected in want.items():
+            if field in NUMERIC_FIELDS and expected:
+                assert math.isclose(float(got[field]), float(expected), rel_tol=1e-12, abs_tol=0.0), (field, got, want)
+            else:
+                assert got[field] == expected, (field, got, want)

@@ -6,12 +6,10 @@ run (12 grid cells at 1000 replications); everything else builds its own
 fixtures inline.
 """
 
-import csv
 import json
 import math
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +42,7 @@ from mirroragg import (
 from mirroragg.cli import rows_to_csv
 from mirroragg.losses import loss_values
 from mirroragg.oracles import atom_design
-from platform_key import platform_key
+from platform_key import assert_rows_match
 
 SQUARED = LossSpec("squared", y_bound=1.0)
 EXPONENTIAL = LossSpec("phi_exponential")
@@ -62,7 +60,6 @@ BENCHMARK = ExperimentConfig(
 
 GOLDEN_RESULTS = Path(__file__).parent / "data" / "acceptance_results.csv"
 GOLDEN_PLATFORM = Path(__file__).parent / "data" / "acceptance_platform.json"
-NUMERIC_FIELDS = ("mean_excess", "stderr", "oracle_value", "bound_value")
 
 PARALLEL_CONFIG = """\
 [generator]
@@ -114,20 +111,8 @@ def test_benchmark_rows_match_golden_results(benchmark_rows):
     """
     golden_lines = GOLDEN_RESULTS.read_text().splitlines()[1:]
     produced_lines = rows_to_csv(benchmark_rows, "").splitlines()[1:]
-    recorded, here = json.loads(GOLDEN_PLATFORM.read_text()), platform_key()
-    if here == recorded:
-        assert produced_lines == golden_lines
-        return
-    warnings.warn(f"golden rows written on {recorded}, running on {here}: compared at relative 1e-12")
-    golden = list(csv.DictReader(golden_lines))
-    produced = list(csv.DictReader(produced_lines))
-    assert len(produced) == len(golden) == 36
-    for got, want in zip(produced, golden):
-        for field, expected in want.items():
-            if field in NUMERIC_FIELDS and expected:
-                assert math.isclose(float(got[field]), float(expected), rel_tol=1e-12, abs_tol=0.0), (field, got, want)
-            else:
-                assert got[field] == expected, (field, got, want)
+    assert len(golden_lines) == 37
+    assert_rows_match(produced_lines, golden_lines, json.loads(GOLDEN_PLATFORM.read_text()), "golden rows")
 
 
 def test_criterion_01_selection_bound_holds_in_every_cell(benchmark_rows):
