@@ -29,10 +29,10 @@ checkpoints, increasing step counts up to ``n``, and returns one
 steps, the same bit for bit as a fold that stops there.  One fold to the
 largest sample size thus serves every smaller one.  The public runs fold
 their sample into such a table, one atom per distinct observation and
-one replicate row of indices, and evaluate the dictionary once per
-distinct design point; they validate what the kernels take on trust.
+one replicate row of indices, and tabulate the dictionary by
+``Dictionary.table``; they validate what the kernels take on trust.
 ``ma_step`` is the validated per-sample step the kernels are tested
-against.
+against: a fold of it gives ``ma_run``'s weights bit for bit.
 
 LMA without a per-step ``exp``.  LMA's temperature is constant and its
 increment at a step is the loss row ``L[a]`` of the drawn atom, so the
@@ -113,7 +113,6 @@ from .simplex import (
     first_seen,
     gibbs_map,
     mixture_value,
-    renormalize,
     require_positive,
     softmin,
     uniform_weights,
@@ -180,8 +179,7 @@ class AggregatorState:
     """State of one aggregation run after ``step`` unit steps.
 
     ``weighted_sum`` accumulates ``theta_bar_{i-1}`` over the steps; the
-    averaged output is ``weighted_sum`` divided by its own sum, which is
-    ``step`` up to rounding.
+    averaged output is their plain mean, ``weighted_sum / step``.
     """
 
     step: int
@@ -239,10 +237,10 @@ def ma_step(
 
 
 def averaged_weights(state: AggregatorState) -> np.ndarray:
-    """Averaged output: ``weighted_sum`` renormalised to sum to one; undefined before step 1."""
+    """Averaged output ``weighted_sum / step``, as the kernels divide; undefined before step 1."""
     if state.step < 1:
         raise ValueError("averaged output is undefined before the first step")
-    return renormalize(state.weighted_sum)
+    return state.weighted_sum / state.step
 
 
 def _arm_layout(idx, m: float):
@@ -379,10 +377,9 @@ def erm_totals(idx, losses, checkpoints) -> list:
 def _sample_atoms(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dictionary):
     """The sample as an atom table: ``(idx, design, ys)`` with ``idx`` of shape ``(1, n)``.
 
-    Each observation maps to the first equal one seen, and each atom's
-    design point to the first equal point seen (``first_seen``), so the
-    dictionary is evaluated once per distinct design point: both labels
-    at one point share its row.  An unhashable design point is its own.
+    Each observation maps to the first equal one seen (``first_seen``),
+    and ``dictionary.table`` of the atoms' design points evaluates once
+    per distinct point: both labels at one point share its row.
     """
     if len(data) == 0:
         raise ValueError("need at least one observation")
@@ -390,9 +387,7 @@ def _sample_atoms(data: Sequence[LabeledSample], spec: LossSpec, dictionary: Dic
     atoms = [data[t] for t in firsts]
     ys = np.array([z.y for z in atoms], dtype=float)
     check_labels(spec, ys)
-    point_of, points = first_seen([z.x for z in atoms])
-    rows = np.stack([np.asarray(dictionary.values_at(atoms[a].x), dtype=float) for a in points])
-    design = rows.take(point_of, axis=0)
+    design = dictionary.table([z.x for z in atoms])
     check_margin_range(spec.kind, design)
     return atom_of[None, :], design, ys
 
@@ -439,9 +434,10 @@ def erm_select(
 ) -> tuple[int, float]:
     """Index and empirical risk of the empirical risk minimizer.
 
-    Ties break to the lowest index (the first minimum found).
+    The index is the argmin of the summed losses, as the grid chooses,
+    ties to the lowest index; the risk is that sum over ``len(data)``.
     """
     idx, design, ys = _sample_atoms(data, spec, dictionary)
-    emp = erm_totals(idx, loss_values(spec.kind, ys[:, None], design), (len(data),))[0][0] / len(data)
-    j = int(np.argmin(emp))
-    return j, float(emp[j])
+    totals = erm_totals(idx, loss_values(spec.kind, ys[:, None], design), (len(data),))[0][0]
+    j = int(np.argmin(totals))
+    return j, float(totals[j] / len(data))

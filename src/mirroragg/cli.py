@@ -38,6 +38,7 @@ from .conditions import check_exp_map_concavity, check_nice_loss, nice_beta_repo
 # run_cell is unused here but stays a name of this module: perfbench's
 # tracer wraps cli.run_cell
 from .experiments import (  # noqa: F401
+    REGRESSION_FAMILIES,
     ExperimentConfig,
     GeneratorSpec,
     generate_instance,
@@ -81,7 +82,7 @@ class _Key(NamedTuple):
 _TABLE = {
     "generator.family": _Key("family"),
     "generator.grid_size": _Key("grid_size", int),
-    "generator.noise_level": _Key("noise_level", float, ("generator.family", "bounded_regression", "near_tie")),
+    "generator.noise_level": _Key("noise_level", float, ("generator.family", *REGRESSION_FAMILIES)),
     "generator.tie_gap": _Key("tie_gap", float, ("generator.family", "near_tie")),
     "experiment.n_grid": _Key("n_grid", _words(int)),
     "experiment.m_grid": _Key("m_grid", _words(int)),

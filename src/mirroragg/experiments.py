@@ -81,7 +81,7 @@ _REPLICATE_TAG = 5
 FAMILIES = tuple(_FAMILY_CODES)
 
 # families whose labels are real numbers, not the {-1, +1} of a margin loss
-_REGRESSION_FAMILIES = ("bounded_regression", "near_tie")
+REGRESSION_FAMILIES = ("bounded_regression", "near_tie")
 
 # Per-arm perturbation amplitudes for the regression recipe are log-spread
 # over this interval so the dictionary's risk gaps straddle the crossover
@@ -261,7 +261,7 @@ class ExperimentConfig:
             raise ValueError(f"ma_schedule must be {names}, got {self.ma_schedule!r}")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
-        if self.loss.kind in PHI_KINDS and self.generator.family in _REGRESSION_FAMILIES:
+        if self.loss.kind in PHI_KINDS and self.generator.family in REGRESSION_FAMILIES:
             raise ValueError(
                 f"margin losses require labels in {{-1, +1}}; the {self.generator.family} family draws real labels"
             )

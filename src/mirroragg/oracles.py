@@ -239,12 +239,10 @@ class ConvergenceError(RuntimeError):
 def atom_design(dictionary: Dictionary, spec: LossSpec, dist: FiniteDistribution) -> np.ndarray:
     """Matrix ``F[a, j] = f_j(x_a)`` over the atoms of ``dist``, once their labels pass ``spec``'s rule.
 
-    The dictionary is evaluated once per design point of ``dist``.
+    ``dictionary.table`` of the atoms' design points.
     """
     dist.validate_for(spec)
-    point_of_atom, first_atoms = dist.design_points
-    rows = np.stack([np.asarray(dictionary.values_at(dist.atoms[a][0].x), dtype=float) for a in first_atoms])
-    return rows.take(point_of_atom, axis=0)
+    return dictionary.table([z.x for z, _ in dist.atoms])
 
 
 def _block_width(length: int) -> int:
@@ -361,13 +359,14 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
     """Exact population risk of a vertex or mixture under ``dist``.
 
     An integer selects the single function ``f_j``, evaluated once per
-    design point, whose values are ``column_risks``' one column.  A weight
-    vector selects the mixture, priced as ``mixture_risks`` prices every
-    mixture: a column of ``design @ block.T`` with the vector in a
-    zero-padded block of ``_MIXTURE_WIDTH`` rows.  So its risk is bit for
-    bit the one a grid checkpoint reports for the same vector, and
-    ``c_oracle``'s value is ``exact_risk`` of its minimizer.  Either way
-    the result is the exact sum over atoms rounded once.
+    design point and checked by ``Dictionary.in_range``, whose values are
+    ``column_risks``' one column.  A weight vector selects the mixture,
+    priced as ``mixture_risks`` prices every mixture: a column of
+    ``design @ block.T`` with the vector in a zero-padded block of
+    ``_MIXTURE_WIDTH`` rows.  So its risk is bit for bit the one a grid
+    checkpoint reports for the same vector, and ``c_oracle``'s value is
+    ``exact_risk`` of its minimizer.  Either way the result is the exact
+    sum over atoms rounded once.
     """
     if not isinstance(theta_or_index, (int, np.integer)):
         design = atom_design(dictionary, spec, dist)
@@ -377,7 +376,7 @@ def exact_risk(theta_or_index, dictionary: Dictionary, spec: LossSpec, dist: Fin
     if not 0 <= j < dictionary.size:
         raise ValueError(f"function index {j} outside dictionary of size {dictionary.size}")
     point_of_atom, first_atoms = dist.design_points
-    values = np.asarray([dictionary.evaluate(j, dist.atoms[a][0].x) for a in first_atoms], dtype=float)
+    values = dictionary.in_range([dictionary.evaluate(j, dist.atoms[a][0].x) for a in first_atoms])
     return column_risks(spec.kind, dist, values.take(point_of_atom)[:, None])[0]
 
 

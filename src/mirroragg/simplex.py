@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "uniform_weights",
     "validate_weights",
-    "renormalize",
     "gibbs_map",
     "mixture_value",
     "Dictionary",
@@ -62,25 +61,6 @@ def validate_weights(theta, size: int | None = None) -> np.ndarray:
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise ValueError(f"weights must sum to 1 within {SIMPLEX_ATOL}, got sum {total!r}")
     return arr
-
-
-def renormalize(raw) -> np.ndarray:
-    """Scale a nonnegative vector to sum to one.
-
-    Components that are exactly zero stay exactly zero; no flooring is
-    applied, so weights may be arbitrarily small.
-    """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("vector must be nonnegative")
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ValueError("cannot renormalize a vector with nonpositive sum")
-    return arr / total
 
 
 def gibbs_map(scores, beta: float) -> np.ndarray:
@@ -162,13 +142,13 @@ def first_seen(keys) -> tuple:
 class Dictionary:
     """Finite dictionary of real-valued functions with a declared range bound.
 
-    Subclasses call ``__init__(size, range_bound)``, the one check of the
-    range bound, and provide ``evaluate``; ``values_at`` has a generic fallback.
-    Evaluations must be deterministic and bounded by ``range_bound`` in
-    absolute value, and equal at design points that compare equal: tables
-    of dictionary values (``atom_design``, the public runs, ``exact_risk``
-    of one function) evaluate the dictionary once per distinct design point
-    (``first_seen``) and give every atom at that point its row.
+    Subclasses call ``__init__(size, range_bound)``, the one check of
+    ``range_bound`` itself, and provide ``evaluate``; ``values_at`` has a
+    generic fallback.  Evaluations must be deterministic, equal at design
+    points that compare equal, and bounded by ``range_bound`` in absolute
+    value.  ``table`` is the one way a dictionary becomes a table: it
+    evaluates once per distinct design point and checks every value
+    (``in_range``).
     """
 
     size: int
@@ -187,6 +167,29 @@ class Dictionary:
         """Vector ``(f_1(x), ..., f_M(x))``."""
         return np.array([self.evaluate(j, x) for j in range(self.size)], dtype=float)
 
+    def in_range(self, values) -> np.ndarray:
+        """``values`` as a float array, once each is within ``range_bound`` in absolute value.
+
+        A nan is out of range.  The bounds are checked on the array's min and
+        max, so no temporary the size of ``values`` is made.
+        """
+        values = np.asarray(values, dtype=float)
+        if not (-self.range_bound <= values.min() and values.max() <= self.range_bound):
+            bad = float(values[~(np.abs(values) <= self.range_bound)][0])
+            raise ValueError(f"dictionary value {bad!r} is outside the declared range bound {self.range_bound!r}")
+        return values
+
+    def table(self, xs) -> np.ndarray:
+        """``(len(xs), M)`` array whose row ``i`` is ``values_at(xs[i])``, ``xs`` nonempty.
+
+        The dictionary is evaluated once per distinct point of ``xs``
+        (``first_seen``; an unhashable point is its own), and the rows are
+        checked by ``in_range``.
+        """
+        point_of, firsts = first_seen(xs)
+        rows = self.in_range(np.stack([np.asarray(self.values_at(xs[i]), dtype=float) for i in firsts]))
+        return rows.take(point_of, axis=0)
+
 
 class TabularDictionary(Dictionary):
     """Dictionary stored as an ``(M, K)`` table over integer design points.
@@ -198,14 +201,8 @@ class TabularDictionary(Dictionary):
         table = np.asarray(values, dtype=float)
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValueError(f"values must be a nonempty (M, K) table, got shape {table.shape}")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("dictionary values must be finite")
         super().__init__(table.shape[0], range_bound)
-        if table.size and np.max(np.abs(table)) > range_bound:
-            raise ValueError(
-                f"dictionary values exceed declared range bound {range_bound!r}"
-            )
-        self.values = table
+        self.values = self.in_range(table)
         self.grid_size = table.shape[1]
 
     def _column(self, x) -> int:
@@ -223,24 +220,14 @@ class TabularDictionary(Dictionary):
 
 
 class CallableDictionary(Dictionary):
-    """Dictionary of closed-form functions given as callables.
+    """Dictionary of closed-form functions given as callables."""
 
-    With ``check=True`` every evaluation is verified against the declared
-    range bound; the check is meant for tests and debugging, not hot loops.
-    """
-
-    def __init__(self, funcs, range_bound: float, check: bool = False):
+    def __init__(self, funcs, range_bound: float):
         funcs = list(funcs)
         if not funcs:
             raise ValueError("dictionary needs at least one function")
         super().__init__(len(funcs), range_bound)
         self._funcs = funcs
-        self._check = bool(check)
 
     def evaluate(self, j: int, x) -> float:
-        v = float(self._funcs[j](x))
-        if self._check and abs(v) > self.range_bound + 1e-12:
-            raise ValueError(
-                f"f_{j}({x!r}) = {v!r} exceeds declared range bound {self.range_bound!r}"
-            )
-        return v
+        return float(self._funcs[j](x))

@@ -118,8 +118,22 @@ class TestGradientStep:
         for z in data:
             state = ma_step(state, z, spec, dic, sched)
         theta, predictor = ma_run(data, spec, dic, sched)
-        assert_allclose(theta, averaged_weights(state), rtol=0, atol=1e-15)
+        assert np.array_equal(theta, averaged_weights(state))
         assert predictor(2) == pytest.approx(mixture_value(theta, dic, 2), abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["squared", "phi_exponential", "phi_logit2"])
+    def test_a_step_fold_is_ma_run_bit_for_bit(self, kind):
+        """``averaged_weights`` divides by the step count, as the kernel does, not by the weights' sum."""
+        for seed in range(12):
+            rng = np.random.default_rng([kind == "squared", kind == "phi_logit2", seed])
+            m, n, k = int(rng.integers(2, 40)), int(rng.integers(1, 200)), int(rng.integers(1, 8))
+            dic = TabularDictionary(rng.uniform(-1, 1, (m, k)))
+            data = random_data(rng, kind, k, n)
+            spec, sched = LossSpec(kind), Schedule.sqrt_growth(float(rng.uniform(0.3, 3.0)))
+            state = ma_init(m)
+            for z in data:
+                state = ma_step(state, z, spec, dic, sched)
+            assert np.array_equal(ma_run(data, spec, dic, sched)[0], averaged_weights(state)), seed
 
     def test_hinge_rejected_for_gradient_steps(self):
         with pytest.raises(ValueError):
@@ -205,6 +219,13 @@ class TestSelector:
         index, risk = erm_select([LabeledSample(0, 0.0)], LossSpec("squared"), dic)
         assert index == 0
         assert risk == pytest.approx(0.25)
+
+    def test_a_near_tie_breaks_on_the_summed_losses(self):
+        """The sums differ in their last bit, their means over six observations do not."""
+        dic = TabularDictionary(np.array([[np.nextafter(0.1775, 1.0)], [0.1775]]))
+        index, risk = erm_select([LabeledSample(0, 0.0)] * 6, LossSpec("squared"), dic)
+        assert index == 1
+        assert risk == 0.18903750000000002 / 6
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)

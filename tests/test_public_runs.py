@@ -66,8 +66,9 @@ def per_observation_runs(data, spec, dictionary):
     n = len(data)
     idx = np.arange(n)[None, :]
     losses = np.stack([linearized_loss_vector(spec, dictionary, z) for z in data])
-    emp = erm_totals(idx, losses, (n,))[0][0] / n
-    runs = {"lma": lma_weights(idx, losses, BETA, (n,))[0][0], "erm": (int(np.argmin(emp)), float(emp.min()))}
+    totals = erm_totals(idx, losses, (n,))[0][0]
+    j = int(np.argmin(totals))
+    runs = {"lma": lma_weights(idx, losses, BETA, (n,))[0][0], "erm": (j, float(totals[j] / n))}
     if spec.differentiable:
         design = np.stack([np.asarray(dictionary.values_at(z.x), dtype=float) for z in data])
         ys = np.array([z.y for z in data])

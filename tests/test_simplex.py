@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -11,12 +12,16 @@ from mirroragg import (
     FiniteDistribution,
     LabeledSample,
     LossSpec,
+    Schedule,
     TabularDictionary,
+    c_oracle,
+    erm_select,
     exact_risk,
     gibbs_map,
     lma_run,
+    ma_run,
     mixture_value,
-    renormalize,
+    ms_oracle,
     uniform_weights,
     validate_weights,
 )
@@ -114,20 +119,6 @@ class TestWeights:
         with pytest.raises(ValueError):
             validate_weights(uniform_weights(3), size=4)
 
-    def test_renormalize_examples(self):
-        assert_allclose(renormalize(np.array([2.0, 2.0])), [0.5, 0.5])
-        assert_allclose(renormalize(np.array([1.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
-        assert_allclose(renormalize(np.array([1.0, 3.0])), [0.25, 0.75])
-
-    def test_renormalize_keeps_exact_zeros(self):
-        out = renormalize(np.array([0.0, 1e-300, 1.0]))
-        assert out[0] == 0.0
-        assert out[1] > 0.0
-
-    def test_renormalize_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            renormalize(np.zeros(3))
-
 
 class TestDictionaries:
     def test_mixture_value_vertex(self):
@@ -180,7 +171,25 @@ class TestDictionaries:
         assert dic.evaluate(0, 1.0) == 0.5
         assert_allclose(dic.values_at(1.0), [0.5, -0.5])
 
-    def test_callable_check_mode_catches_violations(self):
-        dic = CallableDictionary([lambda x: 2.0 * x], range_bound=1.0, check=True)
-        with pytest.raises(ValueError):
-            dic.evaluate(0, 1.0)
+    @pytest.mark.parametrize("bad", [1.5, -1.5, math.nan], ids=["above", "below", "nan"])
+    def test_a_callable_value_outside_the_range_bound_raises_wherever_it_is_tabulated(self, bad):
+        dic = CallableDictionary([lambda x: 0.5, lambda x: bad if x == 2 else -0.5], range_bound=1.0)
+        spec = LossSpec("squared", y_bound=1.0)
+        data = [LabeledSample(x, y) for x in (0, 1, 2) for y in (0.5, -0.5)]
+        dist = FiniteDistribution(tuple((z, 1 / 6) for z in data))
+        runs = {
+            "ma_run": lambda: ma_run(data, spec, dic, Schedule.constant(1.0)),
+            "lma_run": lambda: lma_run(data, spec, dic, beta=1.0),
+            "erm_select": lambda: erm_select(data, spec, dic),
+            "exact_risk of f_1": lambda: exact_risk(1, dic, spec, dist),
+            "exact_risk of a mixture": lambda: exact_risk(uniform_weights(2), dic, spec, dist),
+            "ms_oracle": lambda: ms_oracle(dic, spec, dist),
+            "c_oracle": lambda: c_oracle(dic, spec, dist),
+        }
+        for name, run in runs.items():
+            with pytest.raises(ValueError, match="outside the declared range bound"):
+                run()
+                pytest.fail(f"{name} returned")
+        # exact_risk of one function evaluates that function's column only
+        assert exact_risk(0, dic, spec, dist) == 0.5
+
